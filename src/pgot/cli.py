@@ -120,11 +120,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    config, _ = _load_config_file(args.config)
-    sizes = [int(s) for s in args.sizes.split(",")]
+def _parse_sizes(text: str) -> list[int]:
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--sizes must be comma-separated integers, got {text!r}") from None
+    if min(sizes) < 1:
+        raise ConfigError(f"--sizes must all be >= 1, got {text!r}")
     if sizes != sorted(sizes):
         raise ConfigError("--sizes must be ascending")
+    return sizes
+
+
+def cmd_bench(args) -> int:
+    sizes = _parse_sizes(args.sizes)
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    config, _ = _load_config_file(args.config)
     records = run_bench(config, sizes, repeats=args.repeats)
     out = Path(args.out)
     write_bench_csv(records, out)

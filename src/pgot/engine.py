@@ -2,9 +2,28 @@
 
 Values are stored as contiguous numpy arrays in 32-bit floats. A 64-bit
 mode exists for finite-difference gradient checks (see ``float64_mode``).
-Reductions that mix mesh points (matmul, sum, mean) accumulate in 64-bit
-regardless of mode, so results are insensitive to summation order at the
-output precision.
+
+Precision rule: kernels that exact permutation equivariance rests on
+accumulate in 64-bit regardless of mode; everything else runs in the storage
+dtype.
+
+* 64-bit accumulation: the matmul forward product, the matmul weight
+  gradient ``a^T g`` (a sum over mesh points), ``sum_``/``mean_``, softmax
+  normalisers, broadcast-gradient sums and the LayerNorm ``gain``/``bias``
+  gradients. The forward product stays 64-bit even for pointwise
+  (N, C) @ (C, C') shapes, because a float32 BLAS gemm does not give a row
+  the same bits at every row position. With OpenBLAS's Haswell kernels,
+  outputs with 1 column (inner dimension 8 and up) or with 2, 3, 5, 6 or 7
+  columns (inner dimension 32 and up) change in the last bit with the row's
+  place in the blocking; a ``d_u=3`` decoder and slice logits with fewer than
+  8 slices hit this. Which shapes are safe depends on the kernel the CPU
+  selects, so no shape is exempted.
+* Storage dtype: the matmul input gradient ``g b^T`` (no invariant pins
+  gradients bit for bit), the LayerNorm row statistics (mean and variance
+  over channels, forward and backward; they never mix points) and every
+  elementwise op. In float32 mode GELU uses a float32 polynomial ``erf``
+  (Abramowitz & Stegun 7.1.26, absolute error below 1e-6); ``float64_mode``
+  keeps scipy's exact ``erf`` for gradient checks.
 """
 
 from __future__ import annotations
@@ -392,14 +411,47 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+# Abramowitz & Stegun 7.1.26: erf(x) ~ 1 - t*poly(t)*exp(-x^2), t = 1/(1 + p|x|)
+_ERF_P = 0.3275911
+_ERF_COEFFS = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+
+
+def _erf_f32(x: np.ndarray) -> np.ndarray:
+    """float32 erf, within 1e-6 of the exact value; odd, exact at 0 and +-inf."""
+    t = np.abs(x)
+    t *= np.float32(_ERF_P)
+    t += 1.0
+    np.reciprocal(t, out=t)
+    y = t * np.float32(_ERF_COEFFS[0])
+    for c in _ERF_COEFFS[1:]:
+        y += np.float32(c)
+        y *= t
+    # t is spent: reuse it for exp(-x^2), so only two buffers are live
+    np.multiply(x, x, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    y *= t
+    np.subtract(1.0, y, out=y)
+    return np.copysign(y, x, out=y)
+
+
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    data = (x * cdf).astype(x.dtype)
+    cdf = x * _INV_SQRT2
+    cdf = _erf_f32(cdf) if x.dtype == np.float32 else erf(cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    data = x * cdf
 
     def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
+        d = x * x
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
 
     return _make(data, (a,), bwd)
 
@@ -466,7 +518,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = _accum_matmul(a.data, b.data, a.data.dtype)
 
     def bwd(g):
-        ga = _accum_matmul(g, np.swapaxes(b.data, -1, -2), g.dtype)
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = _accum_matmul(np.swapaxes(a.data, -1, -2), g, g.dtype)
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
@@ -579,19 +631,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match last axis {c}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = ((x.data.astype(np.float64) - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype)
-    xhat = ((x.data - mu) * inv).astype(x.data.dtype)
+    # row statistics reduce over channels only, so they run in the storage dtype
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
     data = xhat * gain.data + bias.data
 
     def bwd(g):
         dgain = _accum_sum(g * xhat, axis=tuple(range(g.ndim - 1)), keepdims=False)
         dbias = _accum_sum(g, axis=tuple(range(g.ndim - 1)), keepdims=False)
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
-        dx = ((dxhat - m1 - xhat * m2) * inv).astype(g.dtype)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        dx -= xhat * m2
+        dx *= inv
         return dx, dgain, dbias
 
     return _make(data, (x, gain, bias), bwd)

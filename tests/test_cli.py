@@ -140,6 +140,24 @@ class TestBench:
     def test_unsorted_sizes_rejected(self, tmp_path, config_path):
         assert main(["bench", "--config", str(config_path), "--sizes", "128,64", "--out", str(tmp_path / "b.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--sizes", "64,x"],
+            ["--sizes", ""],
+            ["--sizes", "0,64"],
+            ["--sizes", "-8"],
+            ["--sizes", "64", "--repeats", "0"],
+        ],
+        ids=["non-integer", "empty", "zero", "negative", "zero-repeats"],
+    )
+    def test_bad_values_exit_2_with_one_line(self, tmp_path, config_path, capsys, extra):
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--config", str(config_path), "--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestInspect:
     def test_dump_contents(self, tmp_path, config_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from pgot import engine
 from pgot.engine import (
@@ -136,6 +137,30 @@ class TestElementwise:
 
     def test_gelu_zero(self):
         assert engine.gelu(Tensor([0.0])).item() == 0.0
+
+    def test_float32_erf_within_1e6_of_exact(self):
+        x = np.concatenate(
+            [np.linspace(-10.0, 10.0, 400_001), [0.0, -0.0, np.inf, -np.inf, np.nan]]
+        ).astype(np.float32)
+        approx = engine._erf_f32(x)
+        exact = erf(x.astype(np.float64))
+        assert approx.dtype == np.float32
+        assert np.array_equal(np.isnan(approx), np.isnan(exact))
+        finite = ~np.isnan(exact)
+        assert np.max(np.abs(approx[finite] - exact[finite])) < 1e-6
+        assert np.array_equal(approx[-5:-1], [0.0, 0.0, 1.0, -1.0])
+        assert np.array_equal(np.signbit(approx[-5:-1]), [False, True, False, True])
+
+    def test_gelu_erf_by_mode(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "erf", lambda v: calls.append(v.dtype) or erf(v))
+        x = np.linspace(-4.0, 4.0, 101)
+        engine.gelu(Tensor(x))
+        assert calls == []
+        with engine.float64_mode():
+            out = engine.gelu(Tensor(x)).data
+        assert calls == [np.float64]
+        assert np.array_equal(out, x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))))
 
     @pytest.mark.parametrize("op", ["sigmoid", "gelu", "exp", "softplus"])
     def test_unary_gradients(self, op):

@@ -86,6 +86,25 @@ class TestPredict:
         out_perm = model.predict(a[perm], g[perm]).data
         assert np.array_equal(out_perm, out[perm])
 
+    @pytest.mark.parametrize("n", [257, 1023])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ModelConfig(layers=2, width=32, slices=8, scales=2, heads=2, seed=11),
+            # decoder and slice-logit products only 3 and 5 columns wide: the
+            # shapes where a float32 BLAS gemm gives rows position-dependent bits
+            ModelConfig(d_a=2, d_u=3, slices=5, seed=12),
+        ],
+        ids=["desk", "narrow"],
+    )
+    def test_permutation_equivariance_odd_meshes(self, config, n):
+        model = PgotModel(config)
+        rng = Rng(n)
+        a, g = random_sample(rng, n=n, d_a=config.d_a)
+        out = model.predict(a, g).data
+        for perm in (np.argsort(rng.random((n,))), np.arange(n)[::-1]):
+            assert np.array_equal(model.predict(a[perm], g[perm]).data, out[perm])
+
     def test_no_quadratic_intermediate(self):
         model = PgotModel(ModelConfig())
         n = 1024
