@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .engine import Rng, ShapeError, Tensor
 from .geometry import GeometricEncoderBank
-from .layers import Linear, init_uniform
+from .layers import Linear, Module, init_uniform
 
 DEAD_SLICE_EPS = 1e-8
 
@@ -29,12 +29,8 @@ class AssignmentMatrix:
     values: np.ndarray
     column_sums: np.ndarray
 
-    @property
-    def dead_slices(self) -> int:
-        return int(np.sum(self.column_sums < DEAD_SLICE_EPS))
 
-
-class LatentMhsa:
+class LatentMhsa(Module):
     """Standard multi-head self-attention over the M latent tokens."""
 
     def __init__(self, rng: Rng, width: int, heads: int):
@@ -64,16 +60,8 @@ class LatentMhsa:
         out = engine.reshape(engine.transpose(out, (1, 0, 2)), (m, self.width))
         return self.wo(out)
 
-    def parameters(self, prefix: str):
-        return (
-            self.wq.parameters(f"{prefix}.wq")
-            + self.wk.parameters(f"{prefix}.wk")
-            + self.wv.parameters(f"{prefix}.wv")
-            + self.wo.parameters(f"{prefix}.wo")
-        )
 
-
-class SpecGeoAttention:
+class SpecGeoAttention(Module):
     """Geometry-guided slicing attention layer.
 
     The slicing query is X W_x plus the multi-scale geometric encoding;
@@ -144,19 +132,8 @@ class SpecGeoAttention:
             )
         return out
 
-    def parameters(self, prefix: str):
-        params = (
-            self.wx.parameters(f"{prefix}.wx")
-            + self.wf.parameters(f"{prefix}.wf")
-            + [(f"{prefix}.prototypes", self.prototypes), (f"{prefix}.tau_raw", self.tau_raw)]
-        )
-        if self.bank is not None:
-            params += self.bank.parameters(f"{prefix}.bank")
-        params += self.mhsa.parameters(f"{prefix}.mhsa")
-        return params
 
-
-class DenseAttention:
+class DenseAttention(Module):
     """Quadratic full self-attention over all N points (benchmark contrast).
 
     Coded separately from the latent MHSA on purpose; it allocates N-by-N
@@ -164,12 +141,7 @@ class DenseAttention:
     """
 
     def __init__(self, rng: Rng, d: int, width: int, heads: int):
-        self.inner = LatentMhsa(rng, width, heads)
-        self.cache_enabled = False
-        self.last_assignment = None
+        self.dense = LatentMhsa(rng, width, heads)
 
     def __call__(self, x: Tensor, coords_norm: np.ndarray) -> Tensor:
-        return self.inner(x)
-
-    def parameters(self, prefix: str):
-        return self.inner.parameters(f"{prefix}.dense")
+        return self.dense(x)

@@ -14,10 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import run_bench, write_bench_csv
-from .data import GENERATORS, NormStats, read_dataset, read_sample, write_dataset
+from .data import GENERATORS, NormStats, read_dataset, read_manifest, read_sample, write_dataset
 from .errors import ConfigError, DataError, NumericalError
 from .model import ModelConfig, load_checkpoint
 from .training import evaluate, train
@@ -26,6 +24,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+# the keys a config's "training" object may hold, with their defaults
+TRAINING_DEFAULTS = {"steps": 2000, "lr": 1e-3, "weight_decay": 1e-4, "clip_norm": 5.0}
 
 
 def _load_config_file(path) -> tuple[ModelConfig, dict]:
@@ -40,7 +41,12 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
         raise ConfigError('config file must contain a "model" object')
     model_config = ModelConfig.from_dict(raw["model"])
     training = raw.get("training", {})
-    return model_config, training
+    if not isinstance(training, dict):
+        raise ConfigError('"training" must be a JSON object')
+    unknown = set(training) - set(TRAINING_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown training fields: {sorted(unknown)}")
+    return model_config, {**TRAINING_DEFAULTS, **training}
 
 
 def _check_dims(config: ModelConfig, samples) -> None:
@@ -74,8 +80,7 @@ def cmd_gen(args) -> int:
     if args.split != "train":
         if not args.train_manifest:
             raise ConfigError("test splits need --train-manifest for normalization stats")
-        with open(args.train_manifest) as fh:
-            stats = NormStats.from_dict(json.load(fh)["normalization"])
+        stats = NormStats.from_dict(read_manifest(args.train_manifest)["normalization"])
     manifest = write_dataset(samples, out_dir, task=args.task, split=args.split, stats=stats)
     n = samples[0].coords.shape[0]
     print(f"wrote {manifest['count']} {args.task} samples ({n} points each) to {out_dir}")
@@ -93,10 +98,10 @@ def cmd_train(args) -> int:
         config,
         samples,
         stats,
-        steps=int(train_opts.get("steps", 2000)),
-        lr=float(train_opts.get("lr", 1e-3)),
-        weight_decay=float(train_opts.get("weight_decay", 1e-4)),
-        clip_norm=float(train_opts.get("clip_norm", 5.0)),
+        steps=int(train_opts["steps"]),
+        lr=float(train_opts["lr"]),
+        weight_decay=float(train_opts["weight_decay"]),
+        clip_norm=float(train_opts["clip_norm"]),
         checkpoint_path=out_dir / "checkpoint.pgck",
     )
     report.save(out_dir / "report.json")
@@ -158,7 +163,8 @@ def cmd_inspect(args) -> int:
     model.predict(sample.input, sample.coords)
     coord_cols = [f"x{i}" for i in range(sample.coords.shape[1])]
     for layer, block in enumerate(model.blocks):
-        assignment = block.attn.last_assignment
+        # layers without inspection state (dense attention, plain FFN) dump nothing
+        assignment = getattr(block.attn, "last_assignment", None)
         if assignment is not None:
             path = out_dir / f"layer{layer}_assignment.csv"
             with open(path, "w", newline="") as fh:
@@ -166,7 +172,7 @@ def cmd_inspect(args) -> int:
                 writer.writerow(coord_cols + [f"a{j}" for j in range(assignment.values.shape[1])])
                 for coords_row, weights in zip(sample.coords, assignment.values):
                     writer.writerow([repr(float(v)) for v in coords_row] + [repr(float(w)) for w in weights])
-        gate = block.ffn.last_gate
+        gate = getattr(block.ffn, "last_gate", None)
         if gate is not None:
             path = out_dir / f"layer{layer}_gate.csv"
             with open(path, "w", newline="") as fh:

@@ -9,6 +9,7 @@ closed-form radial field.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -215,10 +216,12 @@ def write_sample(sample: Sample, path) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedError(f"truncated payload reading {what}: expected {n} bytes, got {len(buf)}")
-    return buf
+    # checked against the bytes left before reading: a corrupt size field can
+    # ask for more than fits in memory or in an index
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise TruncatedError(f"truncated payload reading {what}: expected {n} bytes, got {left}")
+    return fh.read(n)
 
 
 def read_sample(path, meta: dict | None = None) -> Sample:
@@ -269,16 +272,27 @@ def write_dataset(samples: list[Sample], out_dir, task: str, split: str = "train
     return manifest
 
 
+def read_manifest(path) -> dict:
+    """Load a split manifest, checking the keys every reader relies on."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"malformed manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError("malformed manifest: not a JSON object")
+    missing = [key for key in ("samples", "normalization") if key not in manifest]
+    if missing:
+        raise DataError(f"malformed manifest: missing {', '.join(missing)}")
+    return manifest
+
+
 def read_dataset(path) -> tuple[list[Sample], dict]:
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise DataError(f"no {MANIFEST_NAME} in {path}")
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed manifest: {exc}") from exc
+    manifest = read_manifest(manifest_path)
     samples = []
     for entry in manifest["samples"]:
         samples.append(read_sample(path / entry["file"], meta=entry.get("meta")))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -222,9 +222,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, index):
         return _getitem(self, index)

@@ -8,12 +8,14 @@ import numpy as np
 from . import engine
 from .engine import Rng, Tensor
 from .errors import ConfigError
-from .layers import Linear, Mlp2
+from .layers import Linear, Mlp2, Module
 
-GATE_FORCE_MODES = (None, "zero", "one", "half")
+# gate_force mode -> constant blend weight; None keeps the learned gate
+GATE_FORCE_FILL = {None: None, "zero": 0.0, "one": 1.0, "half": 0.5}
+GATE_FORCE_MODES = tuple(GATE_FORCE_FILL)
 
 
-class TaylorDecompFFN:
+class TaylorDecompFFN(Module):
     """Blend of a linear expert and a non-linear expert.
 
     The per-channel blend weight comes from a sigmoid gate that sees only
@@ -54,14 +56,11 @@ class TaylorDecompFFN:
         return engine.sigmoid(self.gate(gate_feats))
 
     def __call__(self, x: Tensor, gate_feats: Tensor, rng: Rng, training: bool = False) -> Tensor:
-        if self.gate_force == "zero":
-            alpha = engine.constant(np.zeros((x.shape[0], self.width)))
-        elif self.gate_force == "one":
-            alpha = engine.constant(np.ones((x.shape[0], self.width)))
-        elif self.gate_force == "half":
-            alpha = engine.constant(np.full((x.shape[0], self.width), 0.5))
-        else:
+        fill = GATE_FORCE_FILL[self.gate_force]
+        if fill is None:
             alpha = self.spatial_gate(gate_feats)
+        else:
+            alpha = engine.constant(np.full((x.shape[0], self.width), fill))
         if self.cache_enabled:
             self.last_gate = alpha.data.copy()
         f_lin = self.linear_expert(x, rng, training)
@@ -69,26 +68,12 @@ class TaylorDecompFFN:
         one = engine.constant(np.ones((), dtype=alpha.data.dtype))
         return (one - alpha) * f_lin + alpha * f_non
 
-    def parameters(self, prefix: str):
-        return (
-            self.lin1.parameters(f"{prefix}.lin1")
-            + self.lin2.parameters(f"{prefix}.lin2")
-            + self.non1.parameters(f"{prefix}.non1")
-            + self.non2.parameters(f"{prefix}.non2")
-            + self.gate.parameters(f"{prefix}.gate")
-        )
 
-
-class PlainFFN:
+class PlainFFN(Module):
     """Two-layer GELU perceptron; the "no expert decomposition" ablation."""
 
     def __init__(self, rng: Rng, width: int):
         self.mlp = Mlp2(rng, width, 2 * width, width)
-        self.cache_enabled = False
-        self.last_gate = None
 
     def __call__(self, x: Tensor, gate_feats: Tensor, rng: Rng, training: bool = False) -> Tensor:
         return self.mlp(x)
-
-    def parameters(self, prefix: str):
-        return self.mlp.parameters(f"{prefix}.mlp")

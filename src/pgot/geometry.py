@@ -3,14 +3,12 @@ features, and the multi-scale geometric encoder bank."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import engine
 from .engine import ParameterError, Rng, Tensor
 from .errors import DataError
-from .layers import Linear, Mlp2
+from .layers import Linear, Mlp2, Module
 
 
 def normalize_coords(coords: np.ndarray) -> np.ndarray:
@@ -33,53 +31,34 @@ def normalize_coords(coords: np.ndarray) -> np.ndarray:
     return out.astype(engine.current_dtype())
 
 
-def pos_embed(coords_norm: np.ndarray, frequencies: int, mode: str = "both") -> np.ndarray:
-    """Sinusoidal features sin(2^k * pi * g), cos(2^k * pi * g) per axis.
+def pos_embed(coords_norm: np.ndarray, frequencies: int) -> np.ndarray:
+    """Sinusoidal features sin(2^k * pi * g), cos(2^k * pi * g) per axis,
+    followed by the raw normalized coordinates g.
 
-    Mode "both" appends the raw normalized coordinates; all features lie
-    in [-1, 1].
+    For d axes the output has d * (2 * frequencies + 1) columns; all
+    features lie in [-1, 1].
     """
     if frequencies < 1:
         raise ParameterError(f"frequency count must be >= 1, got {frequencies}")
-    if mode not in ("sinusoidal", "raw", "both"):
-        raise ParameterError(f"unknown embedding mode {mode!r}")
     g = np.asarray(coords_norm, dtype=np.float64)
-    if mode == "raw":
-        return g.astype(engine.current_dtype())
     feats = []
     for k in range(frequencies):
         angle = (2.0**k) * np.pi * g
         feats.append(np.sin(angle))
         feats.append(np.cos(angle))
-    if mode == "both":
-        feats.append(g)
+    feats.append(g)
     return np.concatenate(feats, axis=1).astype(engine.current_dtype())
 
 
-@dataclass(frozen=True)
-class CoordinateEmbedding:
-    """Configuration for a sinusoidal coordinate embedding."""
-
-    frequencies: int = 8
-    mode: str = "both"
-
-    def dim(self, d: int) -> int:
-        if self.mode == "raw":
-            return d
-        base = 2 * d * self.frequencies
-        return base + d if self.mode == "both" else base
-
-    def __call__(self, coords_norm: np.ndarray) -> np.ndarray:
-        return pos_embed(coords_norm, self.frequencies, self.mode)
-
-
-class GeometricEncoderBank:
+class GeometricEncoderBank(Module):
     """One two-layer encoder per spatial scale, fused to the hidden width.
 
     Scale s sees 10^(s-1) * g; outputs are concatenated and mixed by a
     single fusion matrix followed by GELU. Purely pointwise over mesh
     points.
     """
+
+    ITEM = "scale"
 
     def __init__(self, rng: Rng, d: int, width: int, scales: int):
         if scales < 1:
@@ -102,10 +81,3 @@ class GeometricEncoderBank:
             feats.append(enc(scaled))
         fused = self.fuse(engine.concat(feats, axis=1))
         return engine.gelu(fused)
-
-    def parameters(self, prefix: str):
-        params = []
-        for s, enc in enumerate(self.encoders):
-            params += enc.parameters(f"{prefix}.scale{s}")
-        params += self.fuse.parameters(f"{prefix}.fuse")
-        return params

@@ -14,7 +14,34 @@ def init_uniform(rng: Rng, fan_in: int, shape) -> Tensor:
     return engine.parameter(rng.uniform(-bound, bound, shape))
 
 
-class Linear:
+class Module:
+    """Base of every model part: names its parameters by attribute path.
+
+    ``parameters`` walks the instance attributes in assignment order. A
+    trainable Tensor is named ``prefix.attr``; a child module recurses
+    under that name; the items of a list of modules are named
+    ``prefix.{ITEM}{i}``. Everything else (ints, arrays, None) is skipped.
+    """
+
+    ITEM = "item"
+
+    def parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+        params = []
+        for attr, value in vars(self).items():
+            if isinstance(value, list):
+                children = [(f"{self.ITEM}{i}", item) for i, item in enumerate(value)]
+            else:
+                children = [(attr, value)]
+            for name, child in children:
+                path = f"{prefix}.{name}" if prefix else name
+                if isinstance(child, Module):
+                    params += child.parameters(path)
+                elif isinstance(child, Tensor) and child.requires_grad:
+                    params.append((path, child))
+        return params
+
+
+class Linear(Module):
     def __init__(self, rng: Rng, d_in: int, d_out: int, bias: bool = True):
         self.w = init_uniform(rng, d_in, (d_in, d_out))
         self.b = init_uniform(rng, d_in, (d_out,)) if bias else None
@@ -25,14 +52,8 @@ class Linear:
             y = y + self.b
         return y
 
-    def parameters(self, prefix: str):
-        params = [(f"{prefix}.w", self.w)]
-        if self.b is not None:
-            params.append((f"{prefix}.b", self.b))
-        return params
 
-
-class Mlp2:
+class Mlp2(Module):
     """Two-layer perceptron with GELU between."""
 
     def __init__(self, rng: Rng, d_in: int, d_hidden: int, d_out: int, bias: bool = True):
@@ -42,17 +63,11 @@ class Mlp2:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(engine.gelu(self.fc1(x)))
 
-    def parameters(self, prefix: str):
-        return self.fc1.parameters(f"{prefix}.fc1") + self.fc2.parameters(f"{prefix}.fc2")
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, width: int):
         self.gain = engine.parameter(np.ones(width))
         self.bias = engine.parameter(np.zeros(width))
 
     def __call__(self, x: Tensor) -> Tensor:
         return engine.layer_norm(x, self.gain, self.bias)
-
-    def parameters(self, prefix: str):
-        return [(f"{prefix}.gain", self.gain), (f"{prefix}.bias", self.bias)]

@@ -6,17 +6,18 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import engine
+from . import engine, geometry
 from .attention import DenseAttention, SpecGeoAttention
 from .engine import Rng, Tensor
-from .errors import BadMagicError, ConfigError, NumericalError, TruncatedError, VersionError
+from .data import _read_exact
+from .errors import BadMagicError, ConfigError, DataError, NumericalError, VersionError
 from .ffn import GATE_FORCE_MODES, PlainFFN, TaylorDecompFFN
-from .geometry import CoordinateEmbedding, normalize_coords
-from .layers import LayerNorm, Mlp2
+from .geometry import normalize_coords
+from .layers import LayerNorm, Mlp2, Module
 
 CHECKPOINT_MAGIC = b"PGCK"
 CHECKPOINT_VERSION = 1
@@ -74,7 +75,7 @@ class ModelConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-class PhysGeoBlock:
+class PhysGeoBlock(Module):
     """Pre-norm residual pair: slice attention then gated feed-forward."""
 
     def __init__(self, rng: Rng, config: ModelConfig, gate_in_dim: int):
@@ -108,23 +109,16 @@ class PhysGeoBlock:
         x = x + self.ffn(self.ln2(x), gate_feats, rng, training)
         return x
 
-    def parameters(self, prefix: str):
-        return (
-            self.ln1.parameters(f"{prefix}.ln1")
-            + self.attn.parameters(f"{prefix}.attn")
-            + self.ln2.parameters(f"{prefix}.ln2")
-            + self.ffn.parameters(f"{prefix}.ffn")
-        )
 
-
-class PgotModel:
+class PgotModel(Module):
     """Operator network mapping (input field, coordinates) to an output field."""
+
+    ITEM = "block"
 
     def __init__(self, config: ModelConfig):
         self.config = config.validate()
         rng = Rng(config.seed)
-        self.embed = CoordinateEmbedding(config.pe_frequencies, "both")
-        pe_dim = self.embed.dim(config.d)
+        pe_dim = config.d * (2 * config.pe_frequencies + 1)
         self.lift = Mlp2(rng, config.d_a + pe_dim, config.width, config.width)
         self.blocks = [PhysGeoBlock(rng, config, pe_dim) for _ in range(config.layers)]
         self.decoder = Mlp2(rng, config.width, config.width, config.d_u)
@@ -132,9 +126,15 @@ class PgotModel:
         self.training = False
 
     def set_inspection(self, enabled: bool) -> None:
+        """Keep each layer's last assignment / gate; layers without one are skipped."""
         for block in self.blocks:
-            block.attn.cache_enabled = enabled
-            block.ffn.cache_enabled = enabled
+            for layer in (block.attn, block.ffn):
+                if hasattr(layer, "cache_enabled"):
+                    layer.cache_enabled = enabled
+
+    def embed(self, coords_norm: np.ndarray) -> np.ndarray:
+        """Coordinate features fed to the lift and to every FFN gate."""
+        return geometry.pos_embed(coords_norm, self.config.pe_frequencies)
 
     def predict(self, a: np.ndarray, coords: np.ndarray) -> Tensor:
         a = np.asarray(a)
@@ -154,13 +154,6 @@ class PgotModel:
         if not np.all(np.isfinite(out.data)):
             raise NumericalError("non-finite activations in decoder", layer=len(self.blocks))
         return out
-
-    def parameters(self):
-        params = self.lift.parameters("lift")
-        for i, block in enumerate(self.blocks):
-            params += block.parameters(f"block{i}")
-        params += self.decoder.parameters("decoder")
-        return params
 
     def zero_grad(self) -> None:
         for _, p in self.parameters():
@@ -197,13 +190,6 @@ def save_checkpoint(model: PgotModel, path) -> None:
             fh.write(arr.tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedError(f"truncated payload reading {what}: expected {n} bytes, got {len(buf)}")
-    return buf
-
-
 def load_checkpoint(path) -> PgotModel:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -213,27 +199,40 @@ def load_checkpoint(path) -> PgotModel:
         if version != CHECKPOINT_VERSION:
             raise VersionError(f"unsupported checkpoint version {version}")
         (config_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config = ModelConfig.from_dict(json.loads(_read_exact(fh, config_len, "config")))
-        model = PgotModel(config)
+        try:
+            raw = json.loads(_read_exact(fh, config_len, "config").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"checkpoint config is not UTF-8 JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise DataError("checkpoint config is not a JSON object")
+        model = PgotModel(ModelConfig.from_dict(raw))
         params = dict(model.parameters())
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         if n_params != len(params):
             raise ConfigError(
                 f"checkpoint has {n_params} parameters, model expects {len(params)}"
             )
-        for _ in range(n_params):
+        loaded = set()
+        for index in range(n_params):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode()
+            try:
+                name = _read_exact(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"checkpoint tensor name {index} is not UTF-8") from None
+            if name in loaded:
+                raise DataError(f"checkpoint tensor {name!r} appears twice")
+            loaded.add(name)
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            count = int(np.prod(shape)) if rank else 1
-            payload = _read_exact(fh, 4 * count, f"tensor {name}")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
             if name not in params:
                 raise ConfigError(f"checkpoint tensor {name!r} not in model")
-            if params[name].data.shape != arr.shape:
+            if params[name].data.shape != shape:
                 raise ConfigError(
-                    f"tensor {name!r} shape {arr.shape} != model shape {params[name].data.shape}"
+                    f"tensor {name!r} shape {shape} != model shape {params[name].data.shape}"
                 )
+            payload = _read_exact(fh, 4 * params[name].size, f"tensor {name}")
+            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
             params[name].data = np.ascontiguousarray(arr, dtype=engine.current_dtype())
+        if fh.read(1):
+            raise DataError("unexpected trailing bytes after checkpoint payload")
         return model

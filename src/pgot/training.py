@@ -6,7 +6,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 

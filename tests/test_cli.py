@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pgot.cli import main
+from pgot.model import ModelConfig, PgotModel, save_checkpoint
 
 DESK_CONFIG = {
     "model": {
@@ -112,6 +113,29 @@ class TestTrainEval:
         sample.write_bytes(b"garbage")
         assert main(["train", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "r")]) == 3
 
+    @pytest.mark.parametrize("key", ["samples", "normalization"])
+    def test_manifest_missing_key_exit_3(self, tmp_path, config_path, capsys, key):
+        data = run_gen(tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest[key]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert key in err
+
+    def test_unknown_training_key_exit_2(self, tmp_path, capsys):
+        data = run_gen(tmp_path)
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"model": DESK_CONFIG["model"], "training": {"stepz": 5}}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "stepz" in err
+        assert not (tmp_path / "r").exists()
+
     def test_report_stable_under_seed(self, tmp_path, config_path):
         data = run_gen(tmp_path)
         reports = []
@@ -159,7 +183,55 @@ class TestBench:
         assert not out.exists()
 
 
+def _splice(blob: bytes, old: bytes, new: bytes) -> bytes:
+    assert blob.count(old) == 1 and len(old) == len(new)
+    return blob.replace(old, new)
+
+
+# each entry turns a valid checkpoint into one that must be refused
+CORRUPT_CHECKPOINTS = {
+    "trailing-bytes": lambda blob: blob + b"\x00",
+    # the config JSON starts after magic, version and its length (12 bytes)
+    "config-not-utf8": lambda blob: blob[:12] + b"\xff" + blob[13:],
+    "config-not-json": lambda blob: blob[:12] + b"x" + blob[13:],
+    "duplicate-name": lambda blob: _splice(blob, b"block0.ln2.gain", b"block0.ln1.gain"),
+    "name-not-utf8": lambda blob: _splice(blob, b"block0.ln2.gain", b"block0.ln2.ga\xffn"),
+}
+
+
+class TestCheckpointErrors:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+    def test_eval_and_inspect_exit_3_with_one_line(self, tmp_path, capsys, case):
+        data = run_gen(tmp_path)
+        sample = sorted(p for p in data.iterdir() if p.suffix == ".pgds")[0]
+        path = tmp_path / "m.pgck"
+        save_checkpoint(PgotModel(ModelConfig(**DESK_CONFIG["model"])), path)
+        path.write_bytes(CORRUPT_CHECKPOINTS[case](path.read_bytes()))
+        capsys.readouterr()
+        for argv in (
+            ["eval", "--checkpoint", str(path), "--data", str(data)],
+            ["inspect", "--checkpoint", str(path), "--sample", str(sample), "--out", str(tmp_path / "dump")],
+        ):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+            assert captured.out == ""
+
+
 class TestInspect:
+    @pytest.mark.parametrize(
+        "switch,written",
+        [("disable_tdf", ["layer0_assignment.csv"]), ("dense_attention", ["layer0_gate.csv"])],
+    )
+    def test_ablation_writes_only_existing_dumps(self, tmp_path, switch, written):
+        data = run_gen(tmp_path)
+        sample = sorted(p for p in data.iterdir() if p.suffix == ".pgds")[0]
+        path = tmp_path / "m.pgck"
+        save_checkpoint(PgotModel(ModelConfig(**DESK_CONFIG["model"], **{switch: True})), path)
+        dump = tmp_path / "dump"
+        assert main(["inspect", "--checkpoint", str(path), "--sample", str(sample), "--out", str(dump)]) == 0
+        assert sorted(p.name for p in dump.iterdir()) == written
+
     def test_dump_contents(self, tmp_path, config_path):
         data = run_gen(tmp_path)
         run_dir = tmp_path / "run"

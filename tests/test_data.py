@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -142,6 +143,15 @@ class TestFormat:
                 read_sample(path)
             if isinstance(err.value, TruncatedError):
                 assert "expected" in str(err.value)
+
+    def test_header_larger_than_any_file(self, tmp_path):
+        path = tmp_path / "s.pgds"
+        write_sample(self.make_sample(), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = struct.pack("<2I", 2**31, 2**30)  # N * d * 4 bytes = 2**63
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedError):
+            read_sample(path)
 
     def test_random_garbage_never_crashes(self, tmp_path):
         rng = Rng(9)

@@ -5,19 +5,19 @@ from pgot import engine
 from pgot.engine import Rng, Tensor
 from pgot.errors import ConfigError
 from pgot.ffn import PlainFFN, TaylorDecompFFN
-from pgot.geometry import CoordinateEmbedding
+from pgot.geometry import pos_embed
 
 from gradcheck import check_module_grads
 
-EMBED = CoordinateEmbedding(8, "both")
+FREQUENCIES = 8
 
 
 def make_ffn(seed=0, width=8, d=2, **kw):
-    return TaylorDecompFFN(Rng(seed), width, EMBED.dim(d), **kw)
+    return TaylorDecompFFN(Rng(seed), width, d * (2 * FREQUENCIES + 1), **kw)
 
 
 def gate_feats(rng, n, d=2):
-    return Tensor(EMBED(rng.random((n, d))))
+    return Tensor(pos_embed(rng.random((n, d)), FREQUENCIES))
 
 
 class TestLinearExpert:

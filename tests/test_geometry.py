@@ -4,7 +4,7 @@ import pytest
 from pgot import engine
 from pgot.engine import ParameterError, Rng, Tensor
 from pgot.errors import DataError
-from pgot.geometry import CoordinateEmbedding, GeometricEncoderBank, normalize_coords, pos_embed
+from pgot.geometry import GeometricEncoderBank, normalize_coords, pos_embed
 
 from gradcheck import check_grads
 
@@ -33,23 +33,23 @@ class TestNormalizeCoords:
 
 
 class TestPosEmbed:
+    # the first 2 * frequencies * d columns are sinusoidal, the last d the raw g
+
     def test_zero_coordinate(self):
-        out = pos_embed(np.zeros((1, 1)), frequencies=3, mode="sinusoidal")
-        assert np.allclose(out, [[0, 1, 0, 1, 0, 1]])
+        out = pos_embed(np.zeros((1, 1)), frequencies=3)
+        assert np.allclose(out[:, :6], [[0, 1, 0, 1, 0, 1]])
 
     def test_half_at_k0(self):
-        out = pos_embed(np.full((1, 1), 0.5), frequencies=1, mode="sinusoidal")
-        assert np.allclose(out, [[1.0, 0.0]], atol=1e-7)
+        out = pos_embed(np.full((1, 1), 0.5), frequencies=1)
+        assert np.allclose(out[:, :2], [[1.0, 0.0]], atol=1e-7)
 
     def test_output_dim_both(self):
-        emb = CoordinateEmbedding(frequencies=4, mode="both")
-        assert emb.dim(2) == 18
-        out = emb(np.zeros((5, 2)))
+        out = pos_embed(np.zeros((5, 2)), frequencies=4)
         assert out.shape == (5, 18)
 
     def test_bounded(self):
         rng = Rng(6)
-        out = pos_embed(rng.random((100, 2)), frequencies=8, mode="both")
+        out = pos_embed(rng.random((100, 2)), frequencies=8)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
     def test_bad_frequency_count(self):

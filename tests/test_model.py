@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,45 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TruncatedError):
             load_checkpoint(path)
+
+
+# sha256 of the newline-joined parameter names and of the checkpoint file of a
+# seed-0 model; any change to naming, ordering, init or the format shows here
+GOLDEN = {
+    "desk": (
+        {},
+        "95d88f7c6c8f75dae955d86b06e555c8f84b258431ecf4295b3e6d3ef1c788a4",
+        "e0d63832707ae13dba3727e0f4dbb609d9c880ce1502dc1323406a4573b72433",
+    ),
+    "disable_sga": (
+        {"disable_sga": True},
+        "dd290ebb42624cd20c57b27dce179eae33a690212fad4922298623abb04e3fca",
+        "497afefb24bbdf116a86d28e29faf6dfaa12335c0e1e758a815a4ea5f38e218a",
+    ),
+    "disable_tdf": (
+        {"disable_tdf": True},
+        "62e17083ee41fa22e7d937890045fb11e5a18f14abc12c03dfccdda4d0641708",
+        "d6576677ba7acec5d37aff18291e2bc97ab68dea4c4b3a753e8f8bb0fc893ec1",
+    ),
+    "dense_attention": (
+        {"dense_attention": True},
+        "62b195ee1d6216fde3dbed04fffb353d740713e9a80e0122159cfffa54ee9dc1",
+        "38c1c802a47bbbd1e09c51a96658a99fbb74aa4173fcd815a760343cd41b6b2d",
+    ),
+    "deep": (
+        {"layers": 3, "scales": 3, "d_a": 2, "d_u": 3, "slices": 5},
+        "4ad22d9496dc9864f38b517d23184d8964be3f9e5a9d493c7bf3b49682ceef43",
+        "4d3c4d4cf7478764d83b1ef8d41fb6bfbca9d7212616632f09502d81fe7477e4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_names_and_checkpoint_bytes(tmp_path, name):
+    overrides, names_sha, checkpoint_sha = GOLDEN[name]
+    model = PgotModel(ModelConfig(seed=0, **overrides))
+    names = "\n".join(n for n, _ in model.parameters()).encode()
+    assert hashlib.sha256(names).hexdigest() == names_sha
+    path = tmp_path / "m.pgck"
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == checkpoint_sha
