@@ -11,6 +11,7 @@ import numpy as np
 
 from . import engine
 from .engine import Rng, Tape
+from .errors import ConfigError
 from .model import ModelConfig, PgotModel
 from .training import relative_l2_loss
 
@@ -67,8 +68,7 @@ def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5, seed: int
     during one forward pass (not OS-level RSS).
     """
     if sizes != sorted(sizes):
-        raise ValueError("sizes must be ascending")
-    config.validate()
+        raise ConfigError(f"sizes must be ascending, got {sizes}")
     model = PgotModel(config)
     rng = Rng(seed)
     records = []

@@ -10,14 +10,17 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
 
 from .bench import run_bench, write_bench_csv
-from .data import GENERATORS, NormStats, read_dataset, read_manifest, read_sample, write_dataset
-from .errors import ConfigError, DataError, NumericalError
-from .model import ModelConfig, load_checkpoint
+from .data import (
+    GENERATORS, NormStats, read_dataset, read_json_object, read_manifest, read_sample, require_object, write_dataset
+)
+from .errors import ConfigError, DataError, MetricError, NumericalError
+from .model import ModelConfig, check_dims, load_checkpoint
 from .training import evaluate, train
 
 EXIT_OK = 0
@@ -25,50 +28,34 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-# the keys a config's "training" object may hold, with their defaults
-TRAINING_DEFAULTS = {"steps": 2000, "lr": 1e-3, "weight_decay": 1e-4, "clip_norm": 5.0}
+# the keys a config's "training" object may hold; their defaults and types are train()'s
+TRAINING_DEFAULTS = {
+    key: inspect.signature(train).parameters[key].default for key in ("steps", "lr", "weight_decay", "clip_norm")
+}
 
 
 def _load_config_file(path) -> tuple[ModelConfig, dict]:
+    """The model config and the given training options, each type-checked."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = read_json_object(fh.read(), "config file", ConfigError)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if "model" not in raw:
-        raise ConfigError('config file must contain a "model" object')
-    model_config = ModelConfig.from_dict(raw["model"])
-    training = raw.get("training", {})
-    if not isinstance(training, dict):
-        raise ConfigError('"training" must be a JSON object')
-    unknown = set(training) - set(TRAINING_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown training fields: {sorted(unknown)}")
-    return model_config, {**TRAINING_DEFAULTS, **training}
-
-
-def _check_dims(config: ModelConfig, samples) -> None:
-    d = samples[0].coords.shape[1]
-    d_a = samples[0].input.shape[1]
-    d_u = samples[0].target.shape[1]
-    mismatches = []
-    if config.d != d:
-        mismatches.append(f"d (config {config.d}, data {d})")
-    if config.d_a != d_a:
-        mismatches.append(f"d_a (config {config.d_a}, data {d_a})")
-    if config.d_u != d_u:
-        mismatches.append(f"d_u (config {config.d_u}, data {d_u})")
-    if mismatches:
-        raise ConfigError("config/data dimension mismatch: " + "; ".join(mismatches))
+    model_config = ModelConfig.from_dict(raw.get("model"))
+    training = require_object(raw.get("training", {}), '"training"', ConfigError)
+    for key, value in training.items():
+        if key not in TRAINING_DEFAULTS:
+            raise ConfigError(f"unknown training field {key!r}; choose from {sorted(TRAINING_DEFAULTS)}")
+        # an int is accepted where the default is a float
+        types = int if isinstance(TRAINING_DEFAULTS[key], int) else (int, float)
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ConfigError(f"training {key} must be a number like {TRAINING_DEFAULTS[key]!r}, got {value!r}")
+    return model_config, training
 
 
 def cmd_gen(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    if args.task not in GENERATORS:
-        raise ConfigError(f"unknown task {args.task!r}; choose from {sorted(GENERATORS)}")
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_dir} is not empty (use --force to overwrite)")
@@ -90,20 +77,11 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config, train_opts = _load_config_file(args.config)
     samples, manifest = read_dataset(args.data)
-    _check_dims(config, samples)
+    check_dims(config, samples)
     stats = NormStats.from_dict(manifest["normalization"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, report = train(
-        config,
-        samples,
-        stats,
-        steps=int(train_opts["steps"]),
-        lr=float(train_opts["lr"]),
-        weight_decay=float(train_opts["weight_decay"]),
-        clip_norm=float(train_opts["clip_norm"]),
-        checkpoint_path=out_dir / "checkpoint.pgck",
-    )
+    _, report = train(config, samples, stats, checkpoint_path=out_dir / "checkpoint.pgck", **train_opts)
     report.save(out_dir / "report.json")
     print(
         f"final train relative L2: {report.final_train_rel_l2:.6f} "
@@ -116,7 +94,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     samples, manifest = read_dataset(args.data)
-    _check_dims(model.config, samples)
     stats = NormStats.from_dict(manifest["normalization"])
     metrics = evaluate(model, samples, stats)
     rho = "n/a" if metrics["spearman"] is None else f"{metrics['spearman']:.4f}"
@@ -132,8 +109,6 @@ def _parse_sizes(text: str) -> list[int]:
         raise ConfigError(f"--sizes must be comma-separated integers, got {text!r}") from None
     if min(sizes) < 1:
         raise ConfigError(f"--sizes must all be >= 1, got {text!r}")
-    if sizes != sorted(sizes):
-        raise ConfigError("--sizes must be ascending")
     return sizes
 
 
@@ -156,7 +131,7 @@ def cmd_bench(args) -> int:
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.checkpoint)
     sample = read_sample(args.sample)
-    _check_dims(model.config, [sample])
+    check_dims(model.config, [sample])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model.set_inspection(True)
@@ -235,15 +210,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, MetricError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,21 +53,26 @@ class NormStats:
     target_std: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "input_mean": self.input_mean.tolist(),
-            "input_std": self.input_std.tolist(),
-            "target_mean": self.target_mean.tolist(),
-            "target_std": self.target_std.tolist(),
-        }
+        return {key: arr.tolist() for key, arr in vars(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NormStats":
-        return cls(
-            input_mean=np.asarray(data["input_mean"], dtype=np.float64),
-            input_std=np.asarray(data["input_std"], dtype=np.float64),
-            target_mean=np.asarray(data["target_mean"], dtype=np.float64),
-            target_std=np.asarray(data["target_std"], dtype=np.float64),
-        )
+        """Stats from a manifest's "normalization" object: a list of finite
+        numbers per key, one per channel, with positive standard deviations."""
+        data = require_object(data, "normalization")
+        arrays = {}
+        for key in (f.name for f in fields(cls)):
+            values = data.get(key)
+            if isinstance(values, list) and all(type(v) in (int, float) for v in values):
+                with suppress(OverflowError):  # an int beyond float range
+                    arrays[key] = np.asarray(values, dtype=np.float64)
+            if key not in arrays or not np.all(np.isfinite(arrays[key])):
+                raise DataError(f"normalization {key} must be a list of finite numbers")
+        for kind in ("input", "target"):
+            mean, std = arrays[f"{kind}_mean"], arrays[f"{kind}_std"]
+            if std.shape != mean.shape or np.any(std <= 0):
+                raise DataError(f"normalization {kind}_std must be positive, one per {kind}_mean entry")
+        return cls(**arrays)
 
 
 def compute_stats(samples: list[Sample]) -> NormStats:
@@ -239,7 +245,7 @@ def read_sample(path, meta: dict | None = None) -> Sample:
         trailing = fh.read(1)
         if trailing:
             raise DataError("unexpected trailing bytes after payload")
-    return Sample(coords=coords.copy(), input=inputs.copy(), target=target.copy(), meta=dict(meta or {}))
+    return Sample(coords.copy(), inputs.copy(), target.copy(), meta=dict(meta or {})).validate()
 
 
 def write_dataset(samples: list[Sample], out_dir, task: str, split: str = "train", stats: NormStats | None = None) -> dict:
@@ -272,18 +278,37 @@ def write_dataset(samples: list[Sample], out_dir, task: str, split: str = "train
     return manifest
 
 
+def read_json_object(raw: bytes, what: str, error: type[Exception] = DataError) -> dict:
+    """Parse UTF-8 JSON text that must hold one object; any fault raises ``error``."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} is not UTF-8 JSON: {exc}") from None
+    return require_object(value, what, error)
+
+
+def require_object(value, what: str, error: type[Exception] = DataError) -> dict:
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {value!r:.40}")
+    return value
+
+
 def read_manifest(path) -> dict:
-    """Load a split manifest, checking the keys every reader relies on."""
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"malformed manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise DataError("malformed manifest: not a JSON object")
-    missing = [key for key in ("samples", "normalization") if key not in manifest]
-    if missing:
-        raise DataError(f"malformed manifest: missing {', '.join(missing)}")
+    """Load a split manifest, checking everything its readers rely on: a
+    non-empty "samples" list of objects whose "file" is a plain name inside
+    the dataset directory, and well-formed "normalization" stats."""
+    with open(path, "rb") as fh:
+        manifest = read_json_object(fh.read(), "manifest")
+    entries = manifest.get("samples")
+    if not isinstance(entries, list) or not entries:
+        raise DataError(f"manifest samples must be a non-empty list, got {entries!r:.40}")
+    for index, entry in enumerate(entries):
+        entry = require_object(entry, f"manifest samples[{index}]")
+        name = entry.get("file")
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+            raise DataError(f"manifest samples[{index}] file must be a plain file name, got {name!r:.40}")
+        require_object(entry.get("meta") or {}, f"manifest samples[{index}] meta")
+    NormStats.from_dict(manifest.get("normalization"))
     return manifest
 
 
@@ -293,7 +318,11 @@ def read_dataset(path) -> tuple[list[Sample], dict]:
     if not manifest_path.exists():
         raise DataError(f"no {MANIFEST_NAME} in {path}")
     manifest = read_manifest(manifest_path)
+    stats = NormStats.from_dict(manifest["normalization"])
     samples = []
     for entry in manifest["samples"]:
-        samples.append(read_sample(path / entry["file"], meta=entry.get("meta")))
+        sample = read_sample(path / entry["file"], meta=entry.get("meta"))
+        if (sample.input.shape[1], sample.target.shape[1]) != (stats.input_mean.size, stats.target_mean.size):
+            raise DataError(f"{entry['file']}: channel counts differ from the manifest's normalization stats")
+        samples.append(sample)
     return samples, manifest

@@ -227,10 +227,6 @@ class Tensor:
         return _getitem(self, index)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 

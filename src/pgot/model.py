@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import engine, geometry
 from .attention import DenseAttention, SpecGeoAttention
 from .engine import Rng, Tensor
-from .data import _read_exact
+from .data import _read_exact, read_json_object
 from .errors import BadMagicError, ConfigError, DataError, NumericalError, VersionError
 from .ffn import GATE_FORCE_MODES, PlainFFN, TaylorDecompFFN
 from .geometry import normalize_coords
@@ -21,6 +23,12 @@ from .layers import LayerNorm, Mlp2, Module
 
 CHECKPOINT_MAGIC = b"PGCK"
 CHECKPOINT_VERSION = 1
+
+# the Python types each ModelConfig annotation accepts; an int stands for a float
+FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str | None": (str, type(None))}
+# [low, high) of each numeric field; a seed is a Philox key, which has 128 bits
+FIELD_BOUNDS = dict.fromkeys(("layers", "width", "scales", "heads", "d", "d_a", "d_u", "pe_frequencies"), (1, math.inf))
+FIELD_BOUNDS.update(slices=(2, math.inf), dropout=(0.0, 1.0), seed=(0, 2**128))
 
 
 @dataclass
@@ -43,20 +51,19 @@ class ModelConfig:
     dense_attention: bool = False
 
     def validate(self) -> "ModelConfig":
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if self.slices < 2:
-            raise ConfigError(f"slices must be >= 2, got {self.slices}")
-        if self.scales < 1:
-            raise ConfigError(f"scales must be >= 1, got {self.scales}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, so it is refused outright where the field is not one
+            if not isinstance(value, FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.name in FIELD_BOUNDS:
+                low, high = FIELD_BOUNDS[f.name]
+                if not low <= value < high:
+                    raise ConfigError(f"{f.name} must be in [{low}, {high}), got {value}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.gate_force not in GATE_FORCE_MODES:
             raise ConfigError(f"unknown gate_force {self.gate_force!r}")
-        if self.pe_frequencies < 1:
-            raise ConfigError(f"pe_frequencies must be >= 1, got {self.pe_frequencies}")
         return self
 
     def to_dict(self) -> dict:
@@ -64,7 +71,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
+        if not isinstance(data, dict):
+            raise ConfigError(f'"model" must be a JSON object, got {data!r:.40}')
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -160,6 +169,15 @@ class PgotModel(Module):
             p.grad = None
 
 
+def check_dims(config: ModelConfig, samples) -> None:
+    """Refuse samples whose coordinate, input or target width differs from the config."""
+    for index, s in enumerate(samples):
+        widths = {"d": s.coords.shape[1], "d_a": s.input.shape[1], "d_u": s.target.shape[1]}
+        wrong = [f"{k} (config {getattr(config, k)}, data {n})" for k, n in widths.items() if n != getattr(config, k)]
+        if wrong:
+            raise ConfigError(f"config/data dimension mismatch in sample {index}: " + "; ".join(wrong))
+
+
 def count_params(config: ModelConfig) -> int:
     """Exact learnable-scalar count for a configuration."""
     model = PgotModel(config)
@@ -172,22 +190,30 @@ def count_params(config: ModelConfig) -> int:
 
 
 def save_checkpoint(model: PgotModel, path) -> None:
+    """Write to a temporary file, then rename it: a failed save leaves ``path`` as it was."""
     params = model.parameters()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        config_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-        fh.write(struct.pack("<I", len(config_bytes)))
-        fh.write(config_bytes)
-        fh.write(struct.pack("<I", len(params)))
-        for name, p in params:
-            name_bytes = name.encode()
-            fh.write(struct.pack("<I", len(name_bytes)))
-            fh.write(name_bytes)
-            arr = np.ascontiguousarray(p.data, dtype="<f4")
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            config_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+            fh.write(struct.pack("<I", len(config_bytes)))
+            fh.write(config_bytes)
+            fh.write(struct.pack("<I", len(params)))
+            for name, p in params:
+                name_bytes = name.encode()
+                fh.write(struct.pack("<I", len(name_bytes)))
+                fh.write(name_bytes)
+                arr = np.ascontiguousarray(p.data, dtype="<f4")
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> PgotModel:
@@ -199,12 +225,7 @@ def load_checkpoint(path) -> PgotModel:
         if version != CHECKPOINT_VERSION:
             raise VersionError(f"unsupported checkpoint version {version}")
         (config_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        try:
-            raw = json.loads(_read_exact(fh, config_len, "config").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"checkpoint config is not UTF-8 JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise DataError("checkpoint config is not a JSON object")
+        raw = read_json_object(_read_exact(fh, config_len, "config"), "checkpoint config")
         model = PgotModel(ModelConfig.from_dict(raw))
         params = dict(model.parameters())
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))

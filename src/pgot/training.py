@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from . import engine
 from .data import NormStats, Sample, denormalize, normalize
 from .engine import Tape, Tensor
 from .errors import ConfigError, MetricError, NumericalError
-from .model import ModelConfig, PgotModel, save_checkpoint
+from .model import ModelConfig, PgotModel, check_dims, save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +165,7 @@ class RunReport:
     peak_alloc_bytes: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "steps": self.steps,
-            "epoch_losses": self.epoch_losses,
-            "final_train_rel_l2": self.final_train_rel_l2,
-            "eval_rel_l2": self.eval_rel_l2,
-            "eval_spearman": self.eval_spearman,
-            "wall_time_s": self.wall_time_s,
-            "peak_alloc_bytes": self.peak_alloc_bytes,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -210,21 +200,20 @@ def train(
     weight_decay: float = 1e-4,
     clip_norm: float = 5.0,
     checkpoint_path=None,
-    eval_samples: list[Sample] | None = None,
 ) -> tuple[PgotModel, RunReport]:
     """Step-based training on the relative-L2 loss with cosine lr decay.
 
     One step is one optimizer update on one sample, cycling through the
-    train set. The checkpoint is written at the best eval loss.
+    train set. Each epoch ends with an evaluation on the train set; the
+    checkpoint is written at the best one.
     """
     if not samples:
         raise ConfigError("training requires a non-empty dataset")
-    config.validate()
     model = PgotModel(config)
+    check_dims(config, samples)
     model.training = True
     opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
     views = _normalized_views(samples, stats)
-    eval_set = eval_samples if eval_samples is not None else samples
     report = RunReport(config_hash=config.hash(), seed=config.seed, steps=steps)
     start = time.perf_counter()
     best_eval = math.inf
@@ -249,7 +238,7 @@ def train(
             report.epoch_losses.append(float(np.mean(epoch_losses)))
             epoch_losses = []
             model.training = False
-            metrics = evaluate(model, eval_set, stats)
+            metrics = evaluate(model, samples, stats)
             model.training = True
             if metrics["rel_l2"] < best_eval:
                 best_eval = metrics["rel_l2"]
@@ -258,11 +247,9 @@ def train(
     model.training = False
     report.peak_alloc_bytes = engine.alloc_stats()["bytes"]
     report.wall_time_s = time.perf_counter() - start
-    train_metrics = evaluate(model, samples, stats)
-    report.final_train_rel_l2 = train_metrics["rel_l2"]
-    eval_metrics = evaluate(model, eval_set, stats)
-    report.eval_rel_l2 = eval_metrics["rel_l2"]
-    report.eval_spearman = eval_metrics["spearman"]
+    metrics = evaluate(model, samples, stats)
+    report.final_train_rel_l2 = report.eval_rel_l2 = metrics["rel_l2"]
+    report.eval_spearman = metrics["spearman"]
     if checkpoint_path is not None and best_eval == math.inf:
         save_checkpoint(model, checkpoint_path)
     return model, report
@@ -274,14 +261,7 @@ def evaluate(model: PgotModel, samples: list[Sample], stats: NormStats) -> dict:
     The rank functional is the per-sample mean target vs mean prediction;
     Spearman is reported as None when fewer than 3 samples are given.
     """
-    if samples and samples[0].input.shape[1] != model.config.d_a:
-        raise ConfigError(
-            f"dataset d_a={samples[0].input.shape[1]} does not match model d_a={model.config.d_a}"
-        )
-    if samples and samples[0].target.shape[1] != model.config.d_u:
-        raise ConfigError(
-            f"dataset d_u={samples[0].target.shape[1]} does not match model d_u={model.config.d_u}"
-        )
+    check_dims(model.config, samples)
     errors = []
     mean_true = []
     mean_pred = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pgot.cli import main
+from pgot.data import read_dataset, write_dataset
 from pgot.model import ModelConfig, PgotModel, save_checkpoint
 
 DESK_CONFIG = {
@@ -77,6 +78,54 @@ class TestGen:
             assert "--" in capsys.readouterr().out
 
 
+# each entry damages a valid manifest; the one-line error must name the given text
+MANIFEST_FAULTS = {
+    "samples": (lambda m: m.pop("samples"), "samples"),
+    "normalization": (lambda m: m.pop("normalization"), "normalization"),
+    "samples-not-list": (lambda m: m.update(samples={"file": "sample_0000.pgds"}), "samples"),
+    "samples-empty": (lambda m: m.update(samples=[]), "samples"),
+    "entry-not-object": (lambda m: m["samples"].insert(0, "sample_0000.pgds"), "samples[0]"),
+    "entry-without-file": (lambda m: m["samples"][1].pop("file"), "samples[1] file must be a plain file name"),
+    "file-not-string": (lambda m: m["samples"][0].update(file=5), "plain file name"),
+    "file-outside-dir": (lambda m: m["samples"][0].update(file="../../etc/passwd"), "plain file name"),
+    "file-absolute": (lambda m: m["samples"][0].update(file="/etc/passwd"), "plain file name"),
+    "normalization-not-object": (lambda m: m.update(normalization=[1.0]), "normalization"),
+    "normalization-without-input-mean": (lambda m: m["normalization"].pop("input_mean"), "input_mean"),
+    "normalization-non-numeric": (lambda m: m["normalization"].update(target_std=["x"]), "target_std"),
+    "normalization-zero-std": (lambda m: m["normalization"].update(input_std=[0.0]), "input_std"),
+    "normalization-channels": (
+        lambda m: m["normalization"].update(target_mean=[0.0, 0.0], target_std=[1.0, 1.0]),
+        "normalization",
+    ),
+}
+
+
+def _config_bytes(**model) -> bytes:
+    return json.dumps({"model": {**DESK_CONFIG["model"], **model}}).encode()
+
+
+# each entry is a config file that must be refused before anything is written
+BAD_CONFIGS = {
+    "not-utf8": b'{"model": {"layers": 1}, "x": "\xff"}',
+    "top-level-number": b"5",
+    "model-number": b'{"model": 5}',
+    "model-missing": b'{"training": {}}',
+    "training-not-object": json.dumps({"model": DESK_CONFIG["model"], "training": [1]}).encode(),
+    "steps-string": json.dumps({"model": DESK_CONFIG["model"], "training": {"steps": "abc"}}).encode(),
+    "steps-float": json.dumps({"model": DESK_CONFIG["model"], "training": {"steps": 2.5}}).encode(),
+    "lr-bool": json.dumps({"model": DESK_CONFIG["model"], "training": {"lr": True}}).encode(),
+    "layers-string": _config_bytes(layers="1"),
+    "layers-float": _config_bytes(layers=1.0),
+    "heads-zero": _config_bytes(heads=0),
+    "width-zero": _config_bytes(width=0),
+    "seed-negative": _config_bytes(seed=-1),
+    "seed-2**130": _config_bytes(seed=2**130),
+    "pe-frequencies-float": _config_bytes(pe_frequencies=2.5),
+    "dropout-string": _config_bytes(dropout="0"),
+    "disable-sga-int": _config_bytes(disable_sga=1),
+}
+
+
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, config_path, capsys):
         data = run_gen(tmp_path)
@@ -113,17 +162,54 @@ class TestTrainEval:
         sample.write_bytes(b"garbage")
         assert main(["train", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "r")]) == 3
 
-    @pytest.mark.parametrize("key", ["samples", "normalization"])
+    @pytest.mark.parametrize("key", sorted(MANIFEST_FAULTS))
     def test_manifest_missing_key_exit_3(self, tmp_path, config_path, capsys, key):
         data = run_gen(tmp_path)
         manifest = json.loads((data / "manifest.json").read_text())
-        del manifest[key]
+        damage, named = MANIFEST_FAULTS[key]
+        damage(manifest)
         (data / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["train", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
-        assert key in err
+        assert named in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exit_2_with_one_line(self, tmp_path, capsys, case):
+        config = tmp_path / "bad.json"
+        config.write_bytes(BAD_CONFIGS[case])
+        # the data directory does not exist: an accepted config would exit 3
+        argv = ["train", "--config", str(config), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    def test_integer_training_values_accepted(self, tmp_path):
+        data = run_gen(tmp_path)
+        config = tmp_path / "ints.json"
+        config.write_text(json.dumps({"model": DESK_CONFIG["model"], "training": {"steps": 3, "lr": 0, "clip_norm": 5}}))
+        assert main(["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "r")]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_all_zero_target_exit_3(self, tmp_path, config_path, capsys, command):
+        samples, _ = read_dataset(run_gen(tmp_path))
+        for sample in samples:
+            sample.target[:] = 0.0
+        data = tmp_path / "zero"
+        write_dataset(samples, data, task="poisson2d")
+        if command == "train":
+            argv = ["train", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "r")]
+        else:
+            path = tmp_path / "m.pgck"
+            save_checkpoint(PgotModel(ModelConfig(**DESK_CONFIG["model"])), path)
+            argv = ["eval", "--checkpoint", str(path), "--data", str(data)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "all-zero" in err
 
     def test_unknown_training_key_exit_2(self, tmp_path, capsys):
         data = run_gen(tmp_path)
@@ -216,6 +302,33 @@ class TestCheckpointErrors:
             captured = capsys.readouterr()
             assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
             assert captured.out == ""
+
+
+# DESK_CONFIG's checkpoint config holds '"layers": 1, '; each splice keeps its length
+BAD_CHECKPOINT_CONFIGS = {
+    "layers-string": b'"layers":"1",',
+    "layers-float": b'"layers":1.0,',
+}
+
+
+class TestCheckpointConfig:
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_CONFIGS))
+    def test_eval_and_inspect_exit_2_with_one_line(self, tmp_path, capsys, case):
+        data = run_gen(tmp_path)
+        sample = sorted(p for p in data.iterdir() if p.suffix == ".pgds")[0]
+        path = tmp_path / "m.pgck"
+        save_checkpoint(PgotModel(ModelConfig(**DESK_CONFIG["model"])), path)
+        path.write_bytes(_splice(path.read_bytes(), b'"layers": 1, ', BAD_CHECKPOINT_CONFIGS[case]))
+        capsys.readouterr()
+        for argv in (
+            ["eval", "--checkpoint", str(path), "--data", str(data)],
+            ["inspect", "--checkpoint", str(path), "--sample", str(sample), "--out", str(tmp_path / "dump")],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: layers") and captured.err.count("\n") == 1
+            assert captured.out == ""
+        assert not (tmp_path / "dump").exists()
 
 
 class TestInspect:

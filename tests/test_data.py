@@ -153,6 +153,16 @@ class TestFormat:
         with pytest.raises(TruncatedError):
             read_sample(path)
 
+    @pytest.mark.parametrize("n,bad_value", [(0, None), (3, None), (32, np.nan), (32, np.inf)])
+    def test_unusable_content_refused(self, tmp_path, n, bad_value):
+        sample = self.make_sample(n=n)
+        if bad_value is not None:
+            sample.target[5, 0] = bad_value
+        path = tmp_path / "s.pgds"
+        write_sample(sample, path)
+        with pytest.raises(DataError):
+            read_sample(path)
+
     def test_random_garbage_never_crashes(self, tmp_path):
         rng = Rng(9)
         path = tmp_path / "junk.pgds"

@@ -30,11 +30,19 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("layers", 0), ("slices", 1), ("scales", 0), ("heads", 3), ("dropout", 1.0), ("gate_force", "no")],
+        [
+            ("layers", 0), ("slices", 1), ("scales", 0), ("heads", 3), ("dropout", 1.0), ("gate_force", "no"),
+            ("layers", "1"), ("layers", 1.0), ("disable_sga", 1), ("heads", 0), ("width", 0),
+            ("seed", -1), ("seed", 2**128), ("dropout", "0"),
+        ],
     )
     def test_invalid_rejected(self, field, value):
         with pytest.raises(ConfigError):
             ModelConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field,value", [("dropout", 0), ("seed", 2**128 - 1), ("gate_force", "half")])
+    def test_edge_values_accepted(self, field, value):
+        ModelConfig(**{field: value}).validate()
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -227,6 +235,29 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TruncatedError):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.pgck"
+        save_checkpoint(PgotModel(ModelConfig(seed=21)), path)
+        before = path.read_bytes()
+        model = PgotModel(ModelConfig(seed=22))
+        # the second tensor's conversion fails after the header and one tensor are written
+        convert = np.ascontiguousarray
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, path)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pgck"]
 
 
 # sha256 of the newline-joined parameter names and of the checkpoint file of a

@@ -181,6 +181,14 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(ModelConfig(), [], stats, steps=1)
 
+    @pytest.mark.parametrize("field", ["d", "d_a", "d_u"])
+    def test_dimension_mismatch_rejected_before_any_step(self, small_dataset, monkeypatch, field):
+        samples, stats = small_dataset
+        monkeypatch.setattr(AdamW, "step", lambda *args, **kwargs: pytest.fail("an optimizer step ran"))
+        config = ModelConfig(layers=1, width=16, slices=4, heads=2, **{field: 3})
+        with pytest.raises(ConfigError, match=field):
+            train(config, samples, stats, steps=1)
+
     def test_checkpoint_written(self, small_dataset, tmp_path):
         samples, stats = small_dataset
         config = ModelConfig(layers=1, width=16, slices=4, heads=2, seed=7)
