@@ -1,6 +1,6 @@
 """Physics-geometry operator transformer on a from-scratch autodiff engine."""
 
-from .engine import Rng, Tape, Tensor, backward, float64_mode
+from .engine import Rng, Tape, Tensor, float64_mode
 from .model import ModelConfig, PgotModel, count_params, load_checkpoint, save_checkpoint
 from .training import AdamW, evaluate, relative_l2, spearman, train
 
@@ -8,7 +8,6 @@ __all__ = [
     "Rng",
     "Tape",
     "Tensor",
-    "backward",
     "float64_mode",
     "ModelConfig",
     "PgotModel",

@@ -10,7 +10,6 @@ efficiency benchmark as a contrast baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +19,6 @@ from .geometry import GeometricEncoderBank
 from .layers import Linear, Module, init_uniform
 
 DEAD_SLICE_EPS = 1e-8
-
-
-@dataclass
-class AssignmentMatrix:
-    """Row-stochastic N-by-M slicing weights plus per-slice mass."""
-
-    values: np.ndarray
-    column_sums: np.ndarray
 
 
 class LatentMhsa(Module):
@@ -81,7 +72,6 @@ class SpecGeoAttention(Module):
     ):
         if slices < 2:
             raise ShapeError(f"slice count must be >= 2, got {slices}")
-        self.width = width
         self.slices = slices
         self.wx = Linear(rng, width, width, bias=False)
         self.wf = Linear(rng, width, width, bias=False)
@@ -91,7 +81,7 @@ class SpecGeoAttention(Module):
         self.bank = GeometricEncoderBank(rng, d, width, scales) if use_geometry else None
         self.mhsa = LatentMhsa(rng, width, heads)
         self.cache_enabled = False
-        self.last_assignment: AssignmentMatrix | None = None
+        self.last_assignment: np.ndarray | None = None  # (N, M), kept while cache_enabled
         self.dead_slice_events = 0
 
     def geometry_informed_query(self, x: Tensor, coords_norm: np.ndarray) -> Tensor:
@@ -106,9 +96,14 @@ class SpecGeoAttention(Module):
         return engine.softmax(logits, axis=1)
 
     def slice_tokens(self, assignment: Tensor, x: Tensor) -> Tensor:
-        """Mass-normalized aggregation of projected features into M tokens."""
+        """Mass-normalized aggregation of projected features into M tokens.
+
+        A slice whose mass is below ``DEAD_SLICE_EPS`` yields a zero token and
+        counts once in ``dead_slice_events``.
+        """
         xf = self.wf(x)
         col = engine.sum_(assignment, axis=0)  # (M,)
+        self.dead_slice_events += int(np.count_nonzero(col.data < DEAD_SLICE_EPS))
         num = engine.matmul(engine.transpose(assignment), xf)  # (M, C)
         denom = engine.reshape(engine.clip_min(col, DEAD_SLICE_EPS), (self.slices, 1))
         return engine.div(num, denom)
@@ -122,14 +117,8 @@ class SpecGeoAttention(Module):
         z = self.slice_tokens(assignment, x)
         z = self.mhsa(z)
         out = self.deslice(assignment, z)
-        col = assignment.data.sum(axis=0, dtype=np.float64)
-        dead = int(np.sum(col < DEAD_SLICE_EPS))
-        if dead:
-            self.dead_slice_events += dead
         if self.cache_enabled:
-            self.last_assignment = AssignmentMatrix(
-                values=assignment.data.copy(), column_sums=col.astype(assignment.data.dtype)
-            )
+            self.last_assignment = assignment.data.copy()
         return out
 
 
@@ -140,7 +129,7 @@ class DenseAttention(Module):
     score matrices per head.
     """
 
-    def __init__(self, rng: Rng, d: int, width: int, heads: int):
+    def __init__(self, rng: Rng, width: int, heads: int):
         self.dense = LatentMhsa(rng, width, heads)
 
     def __call__(self, x: Tensor, coords_norm: np.ndarray) -> Tensor:

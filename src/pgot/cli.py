@@ -21,7 +21,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, MetricError, NumericalError
 from .model import ModelConfig, check_dims, load_checkpoint
-from .training import evaluate, train
+from .training import TRAINING_BOUNDS, check_training_values, evaluate, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,13 +29,11 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 # the keys a config's "training" object may hold; their defaults and types are train()'s
-TRAINING_DEFAULTS = {
-    key: inspect.signature(train).parameters[key].default for key in ("steps", "lr", "weight_decay", "clip_norm")
-}
+TRAINING_DEFAULTS = {key: inspect.signature(train).parameters[key].default for key in TRAINING_BOUNDS}
 
 
 def _load_config_file(path) -> tuple[ModelConfig, dict]:
-    """The model config and the given training options, each type-checked."""
+    """The model config and the given training options, each type- and range-checked."""
     try:
         with open(path, "rb") as fh:
             raw = read_json_object(fh.read(), "config file", ConfigError)
@@ -50,6 +48,7 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
         types = int if isinstance(TRAINING_DEFAULTS[key], int) else (int, float)
         if not isinstance(value, types) or isinstance(value, bool):
             raise ConfigError(f"training {key} must be a number like {TRAINING_DEFAULTS[key]!r}, got {value!r}")
+    check_training_values(**training)
     return model_config, training
 
 
@@ -139,22 +138,16 @@ def cmd_inspect(args) -> int:
     coord_cols = [f"x{i}" for i in range(sample.coords.shape[1])]
     for layer, block in enumerate(model.blocks):
         # layers without inspection state (dense attention, plain FFN) dump nothing
-        assignment = getattr(block.attn, "last_assignment", None)
-        if assignment is not None:
-            path = out_dir / f"layer{layer}_assignment.csv"
-            with open(path, "w", newline="") as fh:
+        dumps = (("assignment", "a", getattr(block.attn, "last_assignment", None)),
+                 ("gate", "g", getattr(block.ffn, "last_gate", None)))
+        for kind, col, values in dumps:
+            if values is None:
+                continue
+            with open(out_dir / f"layer{layer}_{kind}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(coord_cols + [f"a{j}" for j in range(assignment.values.shape[1])])
-                for coords_row, weights in zip(sample.coords, assignment.values):
-                    writer.writerow([repr(float(v)) for v in coords_row] + [repr(float(w)) for w in weights])
-        gate = getattr(block.ffn, "last_gate", None)
-        if gate is not None:
-            path = out_dir / f"layer{layer}_gate.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(coord_cols + [f"g{j}" for j in range(gate.shape[1])])
-                for coords_row, values in zip(sample.coords, gate):
-                    writer.writerow([repr(float(v)) for v in coords_row] + [repr(float(g)) for g in values])
+                writer.writerow(coord_cols + [f"{col}{j}" for j in range(values.shape[1])])
+                for coords_row, row in zip(sample.coords, values):
+                    writer.writerow([repr(float(v)) for v in (*coords_row, *row)])
     print(f"wrote inspection dumps for {len(model.blocks)} layers to {out_dir}")
     return EXIT_OK
 

@@ -42,14 +42,12 @@ __all__ = [
     "ShapeError",
     "ParameterError",
     "ContractError",
-    "tensor",
     "constant",
     "parameter",
     "float64_mode",
     "current_dtype",
     "reset_alloc_stats",
     "alloc_stats",
-    "backward",
     "matmul",
     "transpose",
     "reshape",
@@ -148,9 +146,6 @@ class Rng:
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape).astype(_DTYPE)
-
-    def normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(size=shape).astype(_DTYPE)
 
     def integers(self, low: int, high: int, shape=None):
         return self._gen.integers(low, high, size=shape)
@@ -293,13 +288,6 @@ class Tape:
         self._records.clear()
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss recorded on a tape."""
-    if loss._tape is None:
-        raise ContractError("loss is not on an active tape")
-    loss._tape.backward(loss)
-
-
 def _make(out_data, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     out = Tensor(out_data)
     tape = Tape.current
@@ -389,10 +377,15 @@ def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: both branches use exp(-|x|) <= 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    data = data.astype(x.dtype)
+    data = _sigmoid(x).astype(x.dtype)
 
     def bwd(g):
         return (g * data * (1.0 - data),)
@@ -468,8 +461,7 @@ def softplus(a: Tensor) -> Tensor:
     data = (np.logaddexp(0.0, x)).astype(x.dtype)
 
     def bwd(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return (g * s,)
+        return (g * _sigmoid(x),)
 
     return _make(data, (a,), bwd)
 
@@ -544,16 +536,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
-        out = []
-        for i in range(len(tensors)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            out.append(g[tuple(sl)])
-        return tuple(out)
+        return tuple(np.split(g, ends, axis=axis))
 
     return _make(data, tuple(tensors), bwd)
 
@@ -578,27 +564,17 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = _accum_sum(a.data, axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype),)
-        g2 = g
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            ndim = a.data.ndim
-            for ax in sorted(x if x >= 0 else x + ndim for x in axes):
-                g2 = np.expand_dims(g2, ax)
-        return (np.broadcast_to(g2, a.data.shape).astype(a.data.dtype),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype),)
 
     return _make(data, (a,), bwd)
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
     s = sum_(a, axis=axis, keepdims=keepdims)
-    return mul(s, _wrap(1.0 / count))
+    # s.size / a.size is 1 / count, whatever the axes and keepdims
+    return mul(s, _wrap(s.size / a.size))
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,10 @@ def normalize_coords(coords: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates contain NaN or Inf")
     lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    span = hi - lo
-    out = np.empty_like(coords)
-    for axis in range(coords.shape[1]):
-        if span[axis] == 0.0:
-            out[:, axis] = 0.5
-        else:
-            out[:, axis] = (coords[:, axis] - lo[axis]) / span[axis]
+    span = coords.max(axis=0) - lo
+    flat = span == 0.0
+    out = (coords - lo) / np.where(flat, 1.0, span)
+    out[:, flat] = 0.5
     return out.astype(engine.current_dtype())
 
 
@@ -63,9 +59,6 @@ class GeometricEncoderBank(Module):
     def __init__(self, rng: Rng, d: int, width: int, scales: int):
         if scales < 1:
             raise ParameterError(f"scales must be >= 1, got {scales}")
-        self.d = d
-        self.width = width
-        self.scales = scales
         self.c_geo = max(width // 2, 1)
         self.encoders = [Mlp2(rng, d, self.c_geo, self.c_geo) for _ in range(scales)]
         self.fuse = Linear(rng, scales * self.c_geo, width, bias=False)

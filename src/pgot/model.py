@@ -90,7 +90,7 @@ class PhysGeoBlock(Module):
     def __init__(self, rng: Rng, config: ModelConfig, gate_in_dim: int):
         self.ln1 = LayerNorm(config.width)
         if config.dense_attention:
-            self.attn = DenseAttention(rng, config.d, config.width, config.heads)
+            self.attn = DenseAttention(rng, config.width, config.heads)
         else:
             self.attn = SpecGeoAttention(
                 rng,
@@ -253,7 +253,8 @@ def load_checkpoint(path) -> PgotModel:
                 )
             payload = _read_exact(fh, 4 * params[name].size, f"tensor {name}")
             arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-            params[name].data = np.ascontiguousarray(arr, dtype=engine.current_dtype())
+            # a copy: frombuffer views the read-only payload, and optimizers update data in place
+            params[name].data = arr.astype(engine.current_dtype())
         if fh.read(1):
             raise DataError("unexpected trailing bytes after checkpoint payload")
         return model

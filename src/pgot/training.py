@@ -34,17 +34,9 @@ def relative_l2(u: np.ndarray, u_hat: np.ndarray) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties averaged, as scipy.stats.rankdata; importing scipy.stats adds ~34 MiB RSS."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def spearman(c: np.ndarray, c_hat: np.ndarray) -> float:
@@ -138,6 +130,18 @@ def clip_grad_norm(params, max_norm: float) -> float:
     return norm
 
 
+# [low, high) of each training value; NaN fails every comparison and is refused too
+TRAINING_BOUNDS = {"steps": (1, math.inf), **dict.fromkeys(("lr", "weight_decay", "clip_norm"), (0.0, math.inf))}
+
+
+def check_training_values(**values) -> None:
+    """Refuse a training value outside its ``TRAINING_BOUNDS`` range."""
+    for key, value in values.items():
+        low, high = TRAINING_BOUNDS[key]
+        if not low <= value < high:
+            raise ConfigError(f"training {key} must be in [{low}, {high}), got {value}")
+
+
 def cosine_lr(step: int, total_steps: int, lr: float) -> float:
     """Cosine decay from lr to lr/10 over the run."""
     lr_final = lr / 10.0
@@ -205,10 +209,11 @@ def train(
 
     One step is one optimizer update on one sample, cycling through the
     train set. Each epoch ends with an evaluation on the train set; the
-    checkpoint is written at the best one.
+    checkpoint is written at the best one, and the report gives the last.
     """
     if not samples:
         raise ConfigError("training requires a non-empty dataset")
+    check_training_values(steps=steps, lr=lr, weight_decay=weight_decay, clip_norm=clip_norm)
     model = PgotModel(config)
     check_dims(config, samples)
     model.training = True
@@ -247,7 +252,7 @@ def train(
     model.training = False
     report.peak_alloc_bytes = engine.alloc_stats()["bytes"]
     report.wall_time_s = time.perf_counter() - start
-    metrics = evaluate(model, samples, stats)
+    # the last step always ends an epoch, so `metrics` evaluates the final parameters
     report.final_train_rel_l2 = report.eval_rel_l2 = metrics["rel_l2"]
     report.eval_spearman = metrics["spearman"]
     if checkpoint_path is not None and best_eval == math.inf:

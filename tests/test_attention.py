@@ -180,8 +180,8 @@ class TestForward:
         out = layer(x, Rng(25).random((12, 2)))
         assert out.shape == (12, 8)
         assert layer.last_assignment is not None
-        assert layer.last_assignment.values.shape == (12, 4)
-        assert np.allclose(layer.last_assignment.values.sum(axis=1), 1.0, atol=1e-5)
+        assert layer.last_assignment.shape == (12, 4)
+        assert np.allclose(layer.last_assignment.sum(axis=1), 1.0, atol=1e-5)
 
     def test_permutation_equivariance(self):
         layer = make_layer()
@@ -210,6 +210,17 @@ class TestForward:
         a = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
         z = layer.slice_tokens(a, x)
         assert np.allclose(z.data[1], 0.0, atol=1e-6)
+
+    def test_dead_slice_events_count_empty_slices(self, monkeypatch):
+        layer = make_layer(slices=4)
+        one_hot = np.eye(4)[[0, 2, 2, 0, 2]]  # slices 1 and 3 receive nothing
+        monkeypatch.setattr(layer, "compute_assignment", lambda xq: Tensor(one_hot))
+        x = Tensor(Rng(34).uniform(-1, 1, (5, 8)))
+        coords = Rng(35).random((5, 2))
+        layer(x, coords)
+        assert layer.dead_slice_events == 2
+        layer(x, coords)
+        assert layer.dead_slice_events == 4
 
     def test_gradients_including_tau_and_prototypes(self):
         with engine.float64_mode():

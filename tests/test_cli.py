@@ -104,6 +104,11 @@ def _config_bytes(**model) -> bytes:
     return json.dumps({"model": {**DESK_CONFIG["model"], **model}}).encode()
 
 
+def _training_bytes(entry: str) -> bytes:
+    """A desk config whose training object is the raw JSON ``entry`` (NaN, 1e999 kept as written)."""
+    return ('{"model": %s, "training": {%s}}' % (json.dumps(DESK_CONFIG["model"]), entry)).encode()
+
+
 # each entry is a config file that must be refused before anything is written
 BAD_CONFIGS = {
     "not-utf8": b'{"model": {"layers": 1}, "x": "\xff"}',
@@ -123,6 +128,12 @@ BAD_CONFIGS = {
     "pe-frequencies-float": _config_bytes(pe_frequencies=2.5),
     "dropout-string": _config_bytes(dropout="0"),
     "disable-sga-int": _config_bytes(disable_sga=1),
+    "steps-zero": _training_bytes('"steps": 0'),
+    "steps-negative": _training_bytes('"steps": -5'),
+    "lr-nan": _training_bytes('"lr": NaN'),
+    "lr-1e999": _training_bytes('"lr": 1e999'),
+    "weight-decay-negative": _training_bytes('"weight_decay": -1'),
+    "clip-norm-negative": _training_bytes('"clip_norm": -1'),
 }
 
 

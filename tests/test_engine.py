@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import pgot
 from pgot import engine
 from pgot.engine import (
     ContractError,
@@ -207,6 +208,19 @@ class TestElementwise:
         rng = Rng(20)
         check_grads(lambda t: engine.mean_(engine.mul(t["x"], t["x"])), {"x": rand(rng, 4, 3)})
 
+    @pytest.mark.parametrize("op", ["sum_", "mean_"])
+    @pytest.mark.parametrize("axis", [0, -1, (0, 2), (-1, 0)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_axis_reduction_gradient(self, op, axis, keepdims):
+        rng = Rng(21)
+        fn = getattr(engine, op)
+
+        def loss(t):
+            r = fn(t["x"], axis=axis, keepdims=keepdims)
+            return engine.sum_(engine.mul(r, r))
+
+        check_grads(loss, {"x": rand(rng, 2, 3, 4)})
+
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
@@ -240,7 +254,7 @@ class TestBackward:
     def test_off_tape_loss_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ContractError):
-            engine.backward(engine.sum_(x))
+            Tape().backward(engine.sum_(x))
 
     def test_grad_shapes_match_leaves(self):
         rng = Rng(21)
@@ -259,6 +273,12 @@ class TestBackward:
             loss = engine.sum_(x * c)
             tape.backward(loss)
         assert c.grad is None
+
+
+@pytest.mark.parametrize("module", [engine, pgot], ids=["pgot.engine", "pgot"])
+def test_all_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
 
 
 class TestRng:

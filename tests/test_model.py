@@ -13,7 +13,7 @@ from pgot.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from pgot.training import relative_l2_loss
+from pgot.training import AdamW, relative_l2_loss
 
 from gradcheck import check_module_grads
 
@@ -208,6 +208,19 @@ class TestCheckpoint:
         for (n1, p1), (n2, p2) in zip(model.parameters(), loaded.parameters()):
             assert n1 == n2
             assert p1.data.tobytes() == p2.data.tobytes()
+
+    def test_loaded_model_trains(self, tmp_path):
+        model = PgotModel(ModelConfig(seed=21))
+        save_checkpoint(model, tmp_path / "m.pgck")
+        loaded = load_checkpoint(tmp_path / "m.pgck")
+        AdamW(loaded.parameters(), weight_decay=1e-4).step()
+        save_checkpoint(loaded, tmp_path / "stepped.pgck")
+        reloaded = load_checkpoint(tmp_path / "stepped.pgck")
+        # weight decay moves every nonzero parameter in place
+        pairs = zip(loaded.parameters(), model.parameters())
+        assert any(not np.array_equal(p1.data, p0.data) for (_, p1), (_, p0) in pairs)
+        for (name, p1), (_, p2) in zip(loaded.parameters(), reloaded.parameters()):
+            assert p1.data.tobytes() == p2.data.tobytes(), name
 
     def test_round_trip_predictions_identical(self, tmp_path):
         model = PgotModel(ModelConfig(seed=18))

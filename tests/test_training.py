@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from pgot import training
 from pgot.data import compute_stats, gen_poisson2d
 from pgot.engine import Rng, Tape, Tensor
 from pgot.errors import ConfigError, MetricError, NumericalError
@@ -78,6 +81,13 @@ class TestSpearman:
     def test_all_tied_rejected(self):
         with pytest.raises(MetricError):
             spearman(np.ones(5), np.arange(5.0))
+
+    def test_ranks_equal_scipy_rankdata(self):
+        rng = Rng(4)
+        for _ in range(300):
+            k = int(rng.integers(1, 40))
+            values = rng.integers(-3, 4, (k,)) * 0.5
+            assert np.array_equal(training._average_ranks(values), scipy.stats.rankdata(values))
 
     def test_matches_scipy_with_ties(self):
         rng = Rng(3)
@@ -180,6 +190,24 @@ class TestTrainLoop:
         _, stats = small_dataset
         with pytest.raises(ConfigError):
             train(ModelConfig(), [], stats, steps=1)
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"steps": 0}, {"lr": math.nan}, {"lr": math.inf}, {"weight_decay": -1.0}, {"clip_norm": -1.0}],
+        ids=["steps-0", "lr-nan", "lr-inf", "weight-decay-negative", "clip-norm-negative"],
+    )
+    def test_out_of_range_values_rejected(self, small_dataset, option):
+        samples, stats = small_dataset
+        with pytest.raises(ConfigError, match=next(iter(option))):
+            train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, **option)
+
+    @pytest.mark.parametrize("steps", [1, 3, 4, 9])
+    def test_one_evaluation_per_epoch(self, small_dataset, monkeypatch, steps):
+        samples, stats = small_dataset
+        calls = []
+        monkeypatch.setattr(training, "evaluate", lambda *args: calls.append(1) or evaluate(*args))
+        train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, steps=steps)
+        assert len(calls) == math.ceil(steps / len(samples))
 
     @pytest.mark.parametrize("field", ["d", "d_a", "d_u"])
     def test_dimension_mismatch_rejected_before_any_step(self, small_dataset, monkeypatch, field):
