@@ -30,6 +30,8 @@ EXIT_NUMERICAL = 4
 
 # the keys a config's "training" object may hold; their defaults and types are train()'s
 TRAINING_DEFAULTS = {key: inspect.signature(train).parameters[key].default for key in TRAINING_BOUNDS}
+# bench also runs dense N x N attention at every size; twice the largest size the README uses
+MAX_BENCH_SIZE = 16384
 
 
 def _load_config_file(path) -> tuple[ModelConfig, dict]:
@@ -106,8 +108,8 @@ def _parse_sizes(text: str) -> list[int]:
         sizes = [int(s) for s in text.split(",")]
     except ValueError:
         raise ConfigError(f"--sizes must be comma-separated integers, got {text!r}") from None
-    if min(sizes) < 1:
-        raise ConfigError(f"--sizes must all be >= 1, got {text!r}")
+    if min(sizes) < 1 or max(sizes) > MAX_BENCH_SIZE:
+        raise ConfigError(f"--sizes must all be in [1, {MAX_BENCH_SIZE}], got {text!r}")
     return sizes
 
 

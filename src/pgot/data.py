@@ -282,7 +282,7 @@ def read_json_object(raw: bytes, what: str, error: type[Exception] = DataError) 
     """Parse UTF-8 JSON text that must hold one object; any fault raises ``error``."""
     try:
         value = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past Python's 4300-digit limit
         raise error(f"{what} is not UTF-8 JSON: {exc}") from None
     return require_object(value, what, error)
 

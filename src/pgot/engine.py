@@ -135,8 +135,6 @@ class Rng:
     per-sample streams are derived as ``seed ^ index``.
     """
 
-    ALGORITHM = "philox4x64"
-
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -26,9 +25,12 @@ CHECKPOINT_VERSION = 1
 
 # the Python types each ModelConfig annotation accepts; an int stands for a float
 FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str | None": (str, type(None))}
-# [low, high) of each numeric field; a seed is a Philox key, which has 128 bits
-FIELD_BOUNDS = dict.fromkeys(("layers", "width", "scales", "heads", "d", "d_a", "d_u", "pe_frequencies"), (1, math.inf))
-FIELD_BOUNDS.update(slices=(2, math.inf), dropout=(0.0, 1.0), seed=(0, 2**128))
+# [low, high) of each numeric field; a seed is a Philox key, which has 128 bits. The size bounds sit far
+# above the paper's models and refuse what cannot be built: scale s multiplies coordinates by 10^(s-1),
+# and past 24 frequencies 2^k * pi * g is a multiple of pi for float32 coordinates g >= 0.5
+FIELD_BOUNDS = dict.fromkeys(("width", "heads", "d_a", "d_u"), (1, 1025))
+FIELD_BOUNDS.update(layers=(1, 33), slices=(2, 1025), scales=(1, 9), d=(1, 17), pe_frequencies=(1, 25))
+FIELD_BOUNDS.update(dropout=(0.0, 1.0), seed=(0, 2**128))
 
 
 @dataclass
@@ -253,7 +255,7 @@ def load_checkpoint(path) -> PgotModel:
                 )
             payload = _read_exact(fh, 4 * params[name].size, f"tensor {name}")
             arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-            # a copy: frombuffer views the read-only payload, and optimizers update data in place
+            # astype copies, so the parameter does not view the read-only payload
             params[name].data = arr.astype(engine.current_dtype())
         if fh.read(1):
             raise DataError("unexpected trailing bytes after checkpoint payload")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -76,7 +77,7 @@ def relative_l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 class AdamW:
-    """Adam with decoupled weight decay applied directly to parameters."""
+    """Adam with decoupled weight decay; each ``p.data`` becomes a view of one flat vector."""
 
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0):
         self.params = list(params)  # list of (name, Tensor)
@@ -85,48 +86,48 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data, dtype=np.float64) for name, p in self.params}
-        self._v = {name: np.zeros_like(p.data, dtype=np.float64) for name, p in self.params}
+        self.flat = np.concatenate([p.data.ravel() for _, p in self.params])
+        self._ends = list(itertools.accumulate(p.size for _, p in self.params))
+        for (_, p), a, b in zip(self.params, [0, *self._ends], self._ends):
+            p.data = self.flat[a:b].reshape(p.shape)
+        self.m, self.v = np.zeros(self.flat.size), np.zeros(self.flat.size)
 
     def zero_grad(self):
         for _, p in self.params:
             p.grad = None
 
     def step(self, lr: float | None = None):
-        lr = self.lr if lr is None else lr
+        lr = float(self.lr if lr is None else lr)
+        g = _flat_grads(self.params)
+        if not np.isfinite(g).all():
+            name = self.params[np.searchsorted(self._ends, np.argmin(np.isfinite(g)), side="right")][0]
+            raise NumericalError(f"NaN/Inf gradient for parameter {name}", param=name)
+        # all that can raise comes before the first write, so a failed step changes nothing
+        decay = np.asarray(1.0 - lr * self.weight_decay, dtype=self.flat.dtype)
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
-        for name, p in self.params:
-            grad = p.grad
-            if grad is None:
-                grad = np.zeros_like(p.data)
-            if not np.all(np.isfinite(grad)):
-                raise NumericalError(f"NaN/Inf gradient for parameter {name}", param=name)
-            g = grad.astype(np.float64)
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            if self.weight_decay:
-                p.data *= np.asarray(1.0 - lr * self.weight_decay, dtype=p.data.dtype)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = (p.data.astype(np.float64) - lr * update).astype(p.data.dtype)
+        bc1, bc2 = 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.flat *= decay  # exact when weight_decay is 0
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        self.flat[:] = self.flat - lr * update
+
+
+def _flat_grads(params) -> np.ndarray:
+    """All gradients as one float64 vector in list order; a missing gradient reads as zeros."""
+    return np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.ravel() for _, p in params], dtype=np.float64)
 
 
 def clip_grad_norm(params, max_norm: float) -> float:
-    total = 0.0
-    for _, p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+    squares, ends = _flat_grads(params) ** 2, list(itertools.accumulate(p.size for _, p in params))
+    # one sum per parameter, added in list order, keeps the per-tensor loop's bits; np.add.reduceat does not
+    norm = math.sqrt(np.cumsum([squares[a:b].sum() for a, b in zip([0, *ends], ends)])[-1])
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
         for _, p in params:
             if p.grad is not None:
-                p.grad = (p.grad * scale).astype(p.grad.dtype)
+                p.grad = (p.grad * (max_norm / norm)).astype(p.grad.dtype)
     return norm
 
 
@@ -138,8 +139,12 @@ def check_training_values(**values) -> None:
     """Refuse a training value outside its ``TRAINING_BOUNDS`` range."""
     for key, value in values.items():
         low, high = TRAINING_BOUNDS[key]
-        if not low <= value < high:
-            raise ConfigError(f"training {key} must be in [{low}, {high}), got {value}")
+        try:
+            inside = low <= float(value) < high
+        except OverflowError:  # an integer beyond the float range
+            inside = False
+        if not inside:
+            raise ConfigError(f"training {key} must be in [{low}, {high}), got {value!r:.40}")
 
 
 def cosine_lr(step: int, total_steps: int, lr: float) -> float:
@@ -255,8 +260,6 @@ def train(
     # the last step always ends an epoch, so `metrics` evaluates the final parameters
     report.final_train_rel_l2 = report.eval_rel_l2 = metrics["rel_l2"]
     report.eval_spearman = metrics["spearman"]
-    if checkpoint_path is not None and best_eval == math.inf:
-        save_checkpoint(model, checkpoint_path)
     return model, report
 
 

@@ -134,6 +134,14 @@ BAD_CONFIGS = {
     "lr-1e999": _training_bytes('"lr": 1e999'),
     "weight-decay-negative": _training_bytes('"weight_decay": -1'),
     "clip-norm-negative": _training_bytes('"clip_norm": -1'),
+    "lr-huge-int": _training_bytes('"lr": 1' + "0" * 400),
+    "weight-decay-huge-int": _training_bytes('"weight_decay": 1' + "0" * 400),
+    "lr-5000-digits": _training_bytes('"lr": 1' + "0" * 5000),
+    "width-2**40": _config_bytes(width=2**40),
+    "layers-2**40": _config_bytes(layers=2**40),
+    "slices-2**40": _config_bytes(slices=2**40),
+    "scales-400": _config_bytes(scales=400),
+    "pe-frequencies-1100": _config_bytes(pe_frequencies=1100),
 }
 
 
@@ -269,8 +277,9 @@ class TestBench:
             ["--sizes", "0,64"],
             ["--sizes", "-8"],
             ["--sizes", "64", "--repeats", "0"],
+            ["--sizes", "64,10000000000"],
         ],
-        ids=["non-integer", "empty", "zero", "negative", "zero-repeats"],
+        ids=["non-integer", "empty", "zero", "negative", "zero-repeats", "huge"],
     )
     def test_bad_values_exit_2_with_one_line(self, tmp_path, config_path, capsys, extra):
         out = tmp_path / "b.csv"

@@ -101,6 +101,62 @@ class TestSpearman:
             assert abs(spearman(c, c_hat) - expected) < 1e-6
 
 
+class ReferenceAdamW:
+    """The per-tensor AdamW that the flat-vector one replaced, kept as the bit-level reference."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params, self.lr, self.weight_decay, self.eps = list(params), lr, weight_decay, eps
+        self.beta1, self.beta2 = betas
+        self.step_count = 0
+        self._m = {name: np.zeros_like(p.data, dtype=np.float64) for name, p in self.params}
+        self._v = {name: np.zeros_like(p.data, dtype=np.float64) for name, p in self.params}
+
+    def step(self, lr):
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1**self.step_count
+        bc2 = 1.0 - self.beta2**self.step_count
+        for name, p in self.params:
+            grad = p.grad
+            if grad is None:
+                grad = np.zeros_like(p.data)
+            g = grad.astype(np.float64)
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            if self.weight_decay:
+                p.data *= np.asarray(1.0 - lr * self.weight_decay, dtype=p.data.dtype)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = (p.data.astype(np.float64) - lr * update).astype(p.data.dtype)
+
+
+def reference_clip_grad_norm(params, max_norm):
+    """Per-tensor gradient clipping as it was before the flat gradient vector."""
+    total = 0.0
+    for _, p in params:
+        if p.grad is not None:
+            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    norm = math.sqrt(total)
+    if norm > max_norm and norm > 0.0:
+        scale = max_norm / norm
+        for _, p in params:
+            if p.grad is not None:
+                p.grad = (p.grad * scale).astype(p.grad.dtype)
+    return norm
+
+
+def random_grads(params, rng, missing=()):
+    """One float32 gradient per parameter, None for the names in ``missing``."""
+    return [None if name in missing else rng.uniform(-1.0, 1.0, p.shape).astype(p.data.dtype) for name, p in params]
+
+
+def set_grads(params, grads):
+    for (_, p), g in zip(params, grads):
+        p.grad = None if g is None else g.copy()
+
+
 class TestAdamW:
     def test_single_step_direction_and_size(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
@@ -148,6 +204,60 @@ class TestAdamW:
         assert abs(norm - 50.0) < 1e-5
         assert abs(x.grad[0] - 3.0) < 1e-5
         assert abs(y.grad[0] - 4.0) < 1e-5
+
+    def test_matches_per_tensor_reference_bit_for_bit(self):
+        new, old = PgotModel(ModelConfig(seed=0)).parameters(), PgotModel(ModelConfig(seed=0)).parameters()
+        assert len(new) == 66
+        opt = AdamW(new, lr=1e-3, weight_decay=1e-4)
+        ref = ReferenceAdamW(old, lr=1e-3, weight_decay=1e-4)
+        rng = Rng(11)
+        missing = {new[3][0], new[40][0]}
+        clipped = []
+        for step in range(30):
+            grads = random_grads(new, rng, missing)
+            # a norm near 120: max_norm 1e3 leaves the gradients alone, 10 scales every one
+            max_norm = 1e3 if step % 2 else 10.0
+            set_grads(new, grads)
+            set_grads(old, grads)
+            norm = clip_grad_norm(new, max_norm)
+            assert norm == reference_clip_grad_norm(old, max_norm)
+            clipped.append(norm > max_norm)
+            lr = cosine_lr(step, 30, 1e-3)
+            opt.step(lr)
+            ref.step(lr)
+            for (name, p), (_, q) in zip(new, old):
+                assert p.data.dtype == q.data.dtype and np.array_equal(p.data, q.data), (step, name)
+            assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref._m.values()])), step
+            assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref._v.values()])), step
+        assert opt.step_count == ref.step_count == 30
+        assert any(clipped) and not all(clipped)
+
+    def test_failed_step_changes_nothing(self):
+        params = PgotModel(ModelConfig(seed=0)).parameters()
+        opt = AdamW(params, lr=1e-3, weight_decay=1e-4)
+        rng = Rng(12)
+        grads = random_grads(params, rng)
+        before = [p.data.copy() for _, p in params]
+        bad = [g.copy() for g in grads]
+        bad[-1][0] = np.nan
+        set_grads(params, bad)
+        with pytest.raises(NumericalError, match=params[-1][0]) as info:
+            opt.step()
+        assert info.value.param == params[-1][0]
+        for (name, p), b in zip(params, before):
+            assert np.array_equal(p.data, b), name
+        assert opt.step_count == 0
+        assert not opt.m.any() and not opt.v.any()
+        set_grads(params, grads)
+        opt.step()
+        fresh = PgotModel(ModelConfig(seed=0)).parameters()
+        fresh_opt = AdamW(fresh, lr=1e-3, weight_decay=1e-4)
+        set_grads(fresh, grads)
+        fresh_opt.step()
+        for (name, p), (_, q) in zip(params, fresh):
+            assert np.array_equal(p.data, q.data), name
+        assert np.array_equal(opt.m, fresh_opt.m) and np.array_equal(opt.v, fresh_opt.v)
+        assert opt.step_count == fresh_opt.step_count == 1
 
     def test_cosine_schedule_endpoints(self):
         assert cosine_lr(0, 100, 1e-3) == pytest.approx(1e-3)
