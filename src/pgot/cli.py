@@ -15,12 +15,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bench import run_bench, write_bench_csv
 from .data import (
     GENERATORS, NormStats, read_dataset, read_json_object, read_manifest, read_sample, require_object, write_dataset
 )
 from .errors import ConfigError, DataError, MetricError, NumericalError
-from .model import ModelConfig, check_dims, load_checkpoint
+from .model import FIELD_BOUNDS, ModelConfig, check_dims, load_checkpoint
 from .training import TRAINING_BOUNDS, check_training_values, evaluate, train
 
 EXIT_OK = 0
@@ -57,6 +59,9 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
 def cmd_gen(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    low, high = FIELD_BOUNDS["seed"]
+    if not low <= args.seed < high:
+        raise ConfigError(f"--seed must be in [{low}, {high}), got {args.seed}")
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_dir} is not empty (use --force to overwrite)")
@@ -154,8 +159,15 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they print one line like any other (``--help`` still exits 0)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pgot", description=__doc__)
+    parser = _Parser(prog="pgot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -198,10 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        # numpy's floating-point warnings would add stderr lines; non-finite results meet explicit checks
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,5 +1,5 @@
 """Synthetic operator-learning tasks with exact numerical oracles, plus the
-on-disk sample format ("PGDS" binary files and a JSON manifest).
+on-disk formats (the binary container of samples and checkpoints, a JSON manifest).
 
 The target-producing solvers deliberately share no code with the model:
 the grid task uses a sparse direct Poisson solve, the point-cloud task a
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -204,24 +204,48 @@ GENERATORS = {
 
 
 # ---------------------------------------------------------------------------
-# binary sample format
+# binary container (magic, u32 version, body, no trailing bytes); sample body
 # ---------------------------------------------------------------------------
 
 
-def write_sample(sample: Sample, path) -> None:
-    n, d = sample.coords.shape
-    d_a = sample.input.shape[1]
-    d_u = sample.target.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(SAMPLE_MAGIC)
-        fh.write(struct.pack("<I", SAMPLE_VERSION))
-        fh.write(struct.pack("<4I", n, d, d_a, d_u))
-        fh.write(np.ascontiguousarray(sample.coords, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(sample.input, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(sample.target, dtype="<f4").tobytes())
+@contextmanager
+def create_record(path, magic: bytes, version: int):
+    """Write magic, version and the caller's body to a temporary file beside
+    ``path``, then rename it over ``path``: a failed write leaves ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            write_u32(fh, version)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
+@contextmanager
+def open_record(path, magic: bytes, version: int):
+    """Check the magic and version, yield the file for the caller to read the
+    body, then refuse trailing bytes."""
+    with open(path, "rb") as fh:
+        found = read_exact(fh, 4, "magic")
+        if found != magic:
+            raise BadMagicError(f"bad magic {found!r}, expected {magic!r}")
+        (found_version,) = read_u32(fh, 1, "version")
+        if found_version != version:
+            raise VersionError(f"unsupported {magic.decode()} version {found_version}")
+        yield fh
+        if fh.read(1):
+            raise DataError(f"unexpected trailing bytes after {magic.decode()} payload")
+
+
+def write_u32(fh, *values: int) -> None:
+    fh.write(struct.pack(f"<{len(values)}I", *values))
+
+
+def read_exact(fh, n: int, what: str) -> bytes:
     # checked against the bytes left before reading: a corrupt size field can
     # ask for more than fits in memory or in an index
     left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -230,21 +254,23 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return fh.read(n)
 
 
+def read_u32(fh, count: int, what: str) -> tuple[int, ...]:
+    return struct.unpack(f"<{count}I", read_exact(fh, 4 * count, what))
+
+
+def write_sample(sample: Sample, path) -> None:
+    with create_record(path, SAMPLE_MAGIC, SAMPLE_VERSION) as fh:
+        write_u32(fh, *sample.coords.shape, sample.input.shape[1], sample.target.shape[1])
+        for arr in (sample.coords, sample.input, sample.target):
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
 def read_sample(path, meta: dict | None = None) -> Sample:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != SAMPLE_MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {SAMPLE_MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != SAMPLE_VERSION:
-            raise VersionError(f"unsupported sample version {version}")
-        n, d, d_a, d_u = struct.unpack("<4I", _read_exact(fh, 16, "header"))
-        coords = np.frombuffer(_read_exact(fh, 4 * n * d, "coords"), dtype="<f4").reshape(n, d)
-        inputs = np.frombuffer(_read_exact(fh, 4 * n * d_a, "input"), dtype="<f4").reshape(n, d_a)
-        target = np.frombuffer(_read_exact(fh, 4 * n * d_u, "target"), dtype="<f4").reshape(n, d_u)
-        trailing = fh.read(1)
-        if trailing:
-            raise DataError("unexpected trailing bytes after payload")
+    with open_record(path, SAMPLE_MAGIC, SAMPLE_VERSION) as fh:
+        n, d, d_a, d_u = read_u32(fh, 4, "header")
+        coords = np.frombuffer(read_exact(fh, 4 * n * d, "coords"), dtype="<f4").reshape(n, d)
+        inputs = np.frombuffer(read_exact(fh, 4 * n * d_a, "input"), dtype="<f4").reshape(n, d_a)
+        target = np.frombuffer(read_exact(fh, 4 * n * d_u, "target"), dtype="<f4").reshape(n, d_u)
     return Sample(coords.copy(), inputs.copy(), target.copy(), meta=dict(meta or {})).validate()
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -14,8 +12,8 @@ import numpy as np
 from . import engine, geometry
 from .attention import DenseAttention, SpecGeoAttention
 from .engine import Rng, Tensor
-from .data import _read_exact, read_json_object
-from .errors import BadMagicError, ConfigError, DataError, NumericalError, VersionError
+from .data import create_record, open_record, read_exact, read_json_object, read_u32, write_u32
+from .errors import ConfigError, DataError, NumericalError
 from .ffn import GATE_FORCE_MODES, PlainFFN, TaylorDecompFFN
 from .geometry import normalize_coords
 from .layers import LayerNorm, Mlp2, Module
@@ -192,71 +190,42 @@ def count_params(config: ModelConfig) -> int:
 
 
 def save_checkpoint(model: PgotModel, path) -> None:
-    """Write to a temporary file, then rename it: a failed save leaves ``path`` as it was."""
+    """Atomic, as every container write: a failed save leaves ``path`` as it was."""
     params = model.parameters()
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            config_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-            fh.write(struct.pack("<I", len(config_bytes)))
-            fh.write(config_bytes)
-            fh.write(struct.pack("<I", len(params)))
-            for name, p in params:
-                name_bytes = name.encode()
-                fh.write(struct.pack("<I", len(name_bytes)))
-                fh.write(name_bytes)
-                arr = np.ascontiguousarray(p.data, dtype="<f4")
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with create_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as fh:
+        config_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+        write_u32(fh, len(config_bytes))
+        fh.write(config_bytes)
+        write_u32(fh, len(params))
+        for name, p in params:
+            name_bytes = name.encode()
+            write_u32(fh, len(name_bytes))
+            fh.write(name_bytes)
+            arr = np.ascontiguousarray(p.data, dtype="<f4")
+            write_u32(fh, arr.ndim, *arr.shape)
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> PgotModel:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise VersionError(f"unsupported checkpoint version {version}")
-        (config_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        raw = read_json_object(_read_exact(fh, config_len, "config"), "checkpoint config")
+    """Tensors come in ``model.parameters()`` order, with its names and shapes and finite payloads."""
+    with open_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as fh:
+        (config_len,) = read_u32(fh, 1, "config length")
+        raw = read_json_object(read_exact(fh, config_len, "config"), "checkpoint config")
         model = PgotModel(ModelConfig.from_dict(raw))
-        params = dict(model.parameters())
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
-        if n_params != len(params):
-            raise ConfigError(
-                f"checkpoint has {n_params} parameters, model expects {len(params)}"
-            )
-        loaded = set()
-        for index in range(n_params):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            try:
-                name = _read_exact(fh, name_len, "name").decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError(f"checkpoint tensor name {index} is not UTF-8") from None
-            if name in loaded:
-                raise DataError(f"checkpoint tensor {name!r} appears twice")
-            loaded.add(name)
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            if name not in params:
-                raise ConfigError(f"checkpoint tensor {name!r} not in model")
-            if params[name].data.shape != shape:
-                raise ConfigError(
-                    f"tensor {name!r} shape {shape} != model shape {params[name].data.shape}"
-                )
-            payload = _read_exact(fh, 4 * params[name].size, f"tensor {name}")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        params = model.parameters()
+        (count,) = read_u32(fh, 1, "tensor count")
+        if count != len(params):
+            raise DataError(f"checkpoint has {count} tensors, model expects {len(params)}")
+        for name, p in params:
+            (name_len,) = read_u32(fh, 1, "name length")
+            stored = read_exact(fh, name_len, "name")
+            (rank,) = read_u32(fh, 1, "rank")
+            shape = read_u32(fh, rank, "dims")
+            if stored != name.encode() or shape != p.data.shape:
+                raise DataError(f"checkpoint tensor {stored!r:.60} {shape} is not the model's {name!r} {p.data.shape}")
+            arr = np.frombuffer(read_exact(fh, 4 * p.size, f"tensor {name}"), dtype="<f4").reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"checkpoint tensor {name!r} contains NaN/Inf")
             # astype copies, so the parameter does not view the read-only payload
-            params[name].data = arr.astype(engine.current_dtype())
-        if fh.read(1):
-            raise DataError("unexpected trailing bytes after checkpoint payload")
-        return model
+            p.data = arr.astype(engine.current_dtype())
+    return model

@@ -237,7 +237,6 @@ def train(
             loss = relative_l2_loss(pred, u_norm)
             value = loss.item()
             if not math.isfinite(value):
-                report.wall_time_s = time.perf_counter() - start
                 raise NumericalError(f"loss became non-finite at step {step}")
             tape.backward(loss)
         clip_grad_norm(opt.params, clip_norm)
@@ -280,10 +279,8 @@ def evaluate(model: PgotModel, samples: list[Sample], stats: NormStats) -> dict:
         errors.append(relative_l2(s.target, pred))
         mean_true.append(float(s.target.mean()))
         mean_pred.append(float(pred.mean()))
-    rho = None
-    if len(samples) >= 3:
-        try:
-            rho = spearman(np.asarray(mean_true), np.asarray(mean_pred))
-        except MetricError:
-            rho = None
+    try:
+        rho = spearman(np.asarray(mean_true), np.asarray(mean_pred))
+    except MetricError:
+        rho = None
     return {"rel_l2": float(np.mean(errors)), "spearman": rho}

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pgot
 from pgot.cli import main
 from pgot.data import read_dataset, write_dataset
 from pgot.model import ModelConfig, PgotModel, save_checkpoint
@@ -76,6 +81,29 @@ class TestGen:
                 main([sub, "--help"])
             assert exc.value.code == 0
             assert "--" in capsys.readouterr().out
+
+
+GEN_ARGS = ["gen", "--task", "poisson2d", "--samples", "1", "--out", "out"]
+
+# each argv is a usage error: one `config error:` line and exit 2, never argparse's usage text
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "missing-required": ["eval", "--data", "x"],
+    "samples-not-int": GEN_ARGS + ["--samples", "abc"],
+    "bad-choice": GEN_ARGS + ["--task", "heat"],
+    "seed-negative": GEN_ARGS + ["--seed", "-1"],
+    "seed-2**128": GEN_ARGS + ["--seed", str(2**128)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exit_2_with_one_line(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    assert main(USAGE_ERRORS[case]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 # each entry damages a valid manifest; the one-line error must name the given text
@@ -294,6 +322,32 @@ def _splice(blob: bytes, old: bytes, new: bytes) -> bytes:
     return blob.replace(old, new)
 
 
+def _add_one(blob: bytes, at: int) -> bytes:
+    """Add 1 to the u32 at byte ``at``."""
+    (value,) = struct.unpack_from("<I", blob, at)
+    return blob[:at] + struct.pack("<I", value + 1) + blob[at + 4:]
+
+
+# DESK_CONFIG's LayerNorm tensors have rank 1, so the record is name, rank, one dim, then the payload
+GAIN, BIAS = b"block0.ln1.gain", b"block0.ln1.bias"
+
+
+def _after(blob: bytes, name: bytes) -> int:
+    assert blob.count(name) == 1
+    return blob.index(name) + len(name)
+
+
+def _set_first_value(blob: bytes, value: float) -> bytes:
+    at = _after(blob, GAIN) + 8
+    return blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+
+
+def _swap_gain_and_bias(blob: bytes) -> bytes:
+    """The two records are adjacent and of equal length, so the file length stays."""
+    i, j = blob.index(GAIN) - 4, blob.index(BIAS) - 4
+    return blob[:i] + blob[j:2 * j - i] + blob[i:j] + blob[2 * j - i:]
+
+
 # each entry turns a valid checkpoint into one that must be refused
 CORRUPT_CHECKPOINTS = {
     "trailing-bytes": lambda blob: blob + b"\x00",
@@ -302,6 +356,13 @@ CORRUPT_CHECKPOINTS = {
     "config-not-json": lambda blob: blob[:12] + b"x" + blob[13:],
     "duplicate-name": lambda blob: _splice(blob, b"block0.ln2.gain", b"block0.ln1.gain"),
     "name-not-utf8": lambda blob: _splice(blob, b"block0.ln2.gain", b"block0.ln2.ga\xffn"),
+    # the tensor count follows the config, whose length is the u32 at byte 8
+    "tensor-count": lambda blob: _add_one(blob, 12 + struct.unpack_from("<I", blob, 8)[0]),
+    "rank": lambda blob: _add_one(blob, _after(blob, GAIN)),
+    "dims": lambda blob: _add_one(blob, _after(blob, GAIN) + 4),
+    "tensors-swapped": _swap_gain_and_bias,
+    "nan-payload": lambda blob: _set_first_value(blob, np.nan),
+    "inf-payload": lambda blob: _set_first_value(blob, np.inf),
 }
 
 
@@ -396,3 +457,34 @@ class TestInspect:
         src = read_sample(sample)
         coords = np.array([[float(r["x0"]), float(r["x1"])] for r in rows], dtype=np.float32)
         assert np.array_equal(coords, src.coords)
+
+
+def _huge_weight_eval(tmp_path, config_path):
+    model = PgotModel(ModelConfig(**DESK_CONFIG["model"]))
+    # finite, but the lift's products overflow float32 and numpy would warn on the way to the failure
+    dict(model.parameters())["lift.fc1.w"].data[...] = 3e38
+    save_checkpoint(model, tmp_path / "m.pgck")
+    return ["eval", "--checkpoint", str(tmp_path / "m.pgck"), "--data", str(run_gen(tmp_path))], 4
+
+
+# each entry gives an argv and its exit code
+SUBPROCESS_CASES = {
+    "eval-3e38-weight": _huge_weight_eval,
+    "gen-seed-negative": lambda *_: (GEN_ARGS + ["--seed", "-1"], 2),
+    "bench-repeats-x": lambda tmp_path, config_path: (
+        ["bench", "--config", str(config_path), "--sizes", "64", "--repeats", "x", "--out", str(tmp_path / "b.csv")],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBPROCESS_CASES))
+def test_subprocess_one_stderr_line(tmp_path, config_path, case):
+    """Run in a child process: pytest's warning capture would hide numpy's RuntimeWarning lines."""
+    argv, code = SUBPROCESS_CASES[case](tmp_path, config_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(pgot.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "pgot.cli", *argv], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300
+    )
+    assert result.returncode == code, result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
