@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,21 +19,21 @@ import numpy as np
 
 from .bench import run_bench, write_bench_csv
 from .data import (
-    GENERATORS, NormStats, read_dataset, read_json_object, read_manifest, read_sample, require_object, write_dataset
+    GENERATOR_BOUNDS, GENERATORS, NormStats, check_value, read_dataset, read_json_object, read_manifest, read_sample,
+    require_object, write_dataset
 )
 from .errors import ConfigError, DataError, MetricError, NumericalError
-from .model import FIELD_BOUNDS, ModelConfig, check_dims, load_checkpoint
-from .training import TRAINING_BOUNDS, check_training_values, evaluate, train
+from .model import ModelConfig, check_dims, load_checkpoint
+from .training import check_training_values, evaluate, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-# the keys a config's "training" object may hold; their defaults and types are train()'s
-TRAINING_DEFAULTS = {key: inspect.signature(train).parameters[key].default for key in TRAINING_BOUNDS}
-# bench also runs dense N x N attention at every size; twice the largest size the README uses
-MAX_BENCH_SIZE = 16384
+# [low, high) of each integer flag, and of each --sizes entry; bench also runs dense N x N attention at
+# every size, so sizes stop at twice the largest the README uses
+FLAG_BOUNDS = {**GENERATOR_BOUNDS, "sizes": (1, 16385), "repeats": (1, math.inf)}
 
 
 def _load_config_file(path) -> tuple[ModelConfig, dict]:
@@ -45,30 +45,16 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
         raise ConfigError(f"config file not found: {path}") from exc
     model_config = ModelConfig.from_dict(raw.get("model"))
     training = require_object(raw.get("training", {}), '"training"', ConfigError)
-    for key, value in training.items():
-        if key not in TRAINING_DEFAULTS:
-            raise ConfigError(f"unknown training field {key!r}; choose from {sorted(TRAINING_DEFAULTS)}")
-        # an int is accepted where the default is a float
-        types = int if isinstance(TRAINING_DEFAULTS[key], int) else (int, float)
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ConfigError(f"training {key} must be a number like {TRAINING_DEFAULTS[key]!r}, got {value!r}")
     check_training_values(**training)
     return model_config, training
 
 
 def cmd_gen(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    low, high = FIELD_BOUNDS["seed"]
-    if not low <= args.seed < high:
-        raise ConfigError(f"--seed must be in [{low}, {high}), got {args.seed}")
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_dir} is not empty (use --force to overwrite)")
-    if args.task == "poisson2d":
-        samples = GENERATORS[args.task](args.seed, args.resolution, args.samples)
-    else:
-        samples = GENERATORS[args.task](args.seed, args.points, args.samples)
+    size = args.resolution if args.task == "poisson2d" else args.points
+    samples = GENERATORS[args.task](args.seed, size, args.samples)
     stats = None
     if args.split != "train":
         if not args.train_manifest:
@@ -108,26 +94,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--sizes must be comma-separated integers, got {text!r}") from None
-    if min(sizes) < 1 or max(sizes) > MAX_BENCH_SIZE:
-        raise ConfigError(f"--sizes must all be in [1, {MAX_BENCH_SIZE}], got {text!r}")
-    return sizes
-
-
 def cmd_bench(args) -> int:
-    sizes = _parse_sizes(args.sizes)
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     config, _ = _load_config_file(args.config)
-    records = run_bench(config, sizes, repeats=args.repeats)
+    records = run_bench(config, args.sizes, repeats=args.repeats)
     out = Path(args.out)
     write_bench_csv(records, out)
     dense_config = dataclasses.replace(config, dense_attention=True)
-    dense_records = run_bench(dense_config, sizes, repeats=args.repeats)
+    dense_records = run_bench(dense_config, args.sizes, repeats=args.repeats)
     dense_out = out.with_name(out.stem + "_dense" + out.suffix)
     write_bench_csv(dense_records, dense_out)
     print(f"wrote {out} and {dense_out}")
@@ -166,6 +139,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def int_list(text: str) -> list[int]:
+    """A comma-separated list of integers, as --sizes takes it."""
+    return [int(s) for s in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pgot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -195,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time/memory scaling versus mesh size")
     p.add_argument("--config", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated ascending N values")
+    p.add_argument("--sizes", type=int_list, required=True, help="comma-separated ascending N values")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--out", required=True, help="CSV path (a *_dense.csv sibling is also written)")
     p.set_defaults(fn=cmd_bench)
@@ -209,21 +187,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Check each integer flag the command takes, and each --sizes entry, against ``FLAG_BOUNDS``."""
+    for flag, bounds in FLAG_BOUNDS.items():
+        value = getattr(args, flag, [])
+        for item in value if isinstance(value, list) else [value]:
+            check_value(f"--{flag}", item, int, *bounds, error=ConfigError)
+
+
+def _fail(prefix: str, exc: Exception, code: int) -> int:
+    """Print ``exc`` as one stderr line, whatever its message holds, and return ``code``."""
+    message = str(exc).replace("\n", "\\n").replace("\r", "\\r")
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_flags(args)
         # numpy's floating-point warnings would add stderr lines; non-finite results meet explicit checks
         with np.errstate(all="ignore"):
             return args.fn(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config error", exc, EXIT_CONFIG)
     except (DataError, MetricError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("data error", exc, EXIT_DATA)
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail("numerical failure", exc, EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

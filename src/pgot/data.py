@@ -9,6 +9,7 @@ closed-form radial field.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -25,6 +26,9 @@ from .errors import BadMagicError, DataError, GeneratorError, TruncatedError, Ve
 SAMPLE_MAGIC = b"PGDS"
 SAMPLE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+# [low, high) of each generator argument; `pgot gen` reads the same bounds for its flags. A seed is a
+# Philox key, which has 128 bits; a model's seed shares the bound
+GENERATOR_BOUNDS = {"seed": (0, 2**128), "samples": (1, math.inf), "resolution": (8, 65), "points": (64, 2049)}
 
 
 @dataclass
@@ -38,8 +42,7 @@ class Sample:
         for name, arr in (("coords", self.coords), ("input", self.input), ("target", self.target)):
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"sample field {name} contains NaN/Inf")
-        if self.coords.shape[0] < 4:
-            raise DataError(f"sample has {self.coords.shape[0]} points, need >= 4")
+        check_value("sample point count", self.coords.shape[0], int, 4)
         return self
 
 
@@ -63,11 +66,10 @@ class NormStats:
         arrays = {}
         for key in (f.name for f in fields(cls)):
             values = data.get(key)
-            if isinstance(values, list) and all(type(v) in (int, float) for v in values):
-                with suppress(OverflowError):  # an int beyond float range
-                    arrays[key] = np.asarray(values, dtype=np.float64)
-            if key not in arrays or not np.all(np.isfinite(arrays[key])):
-                raise DataError(f"normalization {key} must be a list of finite numbers")
+            if not isinstance(values, list):
+                raise DataError(f"normalization {key} must be a list of finite numbers, got {values!r:.40}")
+            checked = [check_value(f"normalization {key}[{i}]", v, float) for i, v in enumerate(values)]
+            arrays[key] = np.array(checked, dtype=np.float64)
         for kind in ("input", "target"):
             mean, std = arrays[f"{kind}_mean"], arrays[f"{kind}_std"]
             if std.shape != mean.shape or np.any(std <= 0):
@@ -127,10 +129,8 @@ def solve_poisson(source_grid: np.ndarray) -> np.ndarray:
 
 def gen_poisson2d(seed: int, resolution: int, samples: int) -> list[Sample]:
     """Smooth random sources on a structured grid; targets from the direct solve."""
-    if not 8 <= resolution <= 64:
-        raise DataError(f"resolution must be in [8, 64], got {resolution}")
-    if samples < 1:
-        raise DataError(f"sample count must be >= 1, got {samples}")
+    for name, value in (("seed", seed), ("resolution", resolution), ("samples", samples)):
+        check_value(name, value, int, *GENERATOR_BOUNDS[name])
     xs = np.linspace(0.0, 1.0, resolution)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     coords = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
@@ -162,10 +162,8 @@ def radial_field(r: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
 
 def gen_pointcloud_stress(seed: int, points: int, samples: int) -> list[Sample]:
     """Scattered points in an annulus; closed-form logarithmic radial target."""
-    if not 64 <= points <= 2048:
-        raise DataError(f"point count must be in [64, 2048], got {points}")
-    if samples < 1:
-        raise DataError(f"sample count must be >= 1, got {samples}")
+    for name, value in (("seed", seed), ("points", points), ("samples", samples)):
+        check_value(name, value, int, *GENERATOR_BOUNDS[name])
     r_out = 1.0
     out = []
     for i in range(samples):
@@ -316,6 +314,22 @@ def read_json_object(raw: bytes, what: str, error: type[Exception] = DataError) 
 def require_object(value, what: str, error: type[Exception] = DataError) -> dict:
     if not isinstance(value, dict):
         raise error(f"{what} must be a JSON object, got {value!r:.40}")
+    return value
+
+
+def check_value(name: str, value, kind: type, low=-math.inf, high=math.inf, error: type[Exception] = DataError):
+    """Return ``value`` if it is a ``kind`` (int, float or bool; an int passes for a float, a bool only for a
+    bool) that is finite as a float and lies in [low, high), compared exactly; else raise ``error`` naming it."""
+    inside = isinstance(value, (int, float) if kind is float else kind)
+    inside = inside and (kind is bool or not isinstance(value, bool))
+    got = None
+    try:
+        inside = inside and math.isfinite(value) and low <= value < high
+    except OverflowError:  # an integer beyond the float range; repr refuses one past 4300 digits
+        inside, got = False, f"an integer of {value.bit_length()} bits"
+    if not inside:
+        bounds = "" if kind is bool else f" in [{low}, {high})"
+        raise error(f"{name} must be {kind.__name__}{bounds}, got {got or repr(value)[:40]}")
     return value
 
 

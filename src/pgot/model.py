@@ -12,7 +12,9 @@ import numpy as np
 from . import engine, geometry
 from .attention import DenseAttention, SpecGeoAttention
 from .engine import Rng, Tensor
-from .data import create_record, open_record, read_exact, read_json_object, read_u32, write_u32
+from .data import (
+    GENERATOR_BOUNDS, check_value, create_record, open_record, read_exact, read_json_object, read_u32, write_u32
+)
 from .errors import ConfigError, DataError, NumericalError
 from .ffn import GATE_FORCE_MODES, PlainFFN, TaylorDecompFFN
 from .geometry import normalize_coords
@@ -21,14 +23,14 @@ from .layers import LayerNorm, Mlp2, Module
 CHECKPOINT_MAGIC = b"PGCK"
 CHECKPOINT_VERSION = 1
 
-# the Python types each ModelConfig annotation accepts; an int stands for a float
-FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str | None": (str, type(None))}
-# [low, high) of each numeric field; a seed is a Philox key, which has 128 bits. The size bounds sit far
-# above the paper's models and refuse what cannot be built: scale s multiplies coordinates by 10^(s-1),
-# and past 24 frequencies 2^k * pi * g is a multiple of pi for float32 coordinates g >= 0.5
+# the kind of each numeric ModelConfig annotation; gate_force, the one string, must be in GATE_FORCE_MODES
+FIELD_KINDS = {"int": int, "float": float, "bool": bool}
+# [low, high) of each numeric field; the seed's is the generators'. The size bounds sit far above the
+# paper's models and refuse what cannot be built: scale s multiplies coordinates by 10^(s-1), and past
+# 24 frequencies 2^k * pi * g is a multiple of pi for float32 coordinates g >= 0.5
 FIELD_BOUNDS = dict.fromkeys(("width", "heads", "d_a", "d_u"), (1, 1025))
 FIELD_BOUNDS.update(layers=(1, 33), slices=(2, 1025), scales=(1, 9), d=(1, 17), pe_frequencies=(1, 25))
-FIELD_BOUNDS.update(dropout=(0.0, 1.0), seed=(0, 2**128))
+FIELD_BOUNDS.update(dropout=(0.0, 1.0), seed=GENERATOR_BOUNDS["seed"])
 
 
 @dataclass
@@ -52,14 +54,9 @@ class ModelConfig:
 
     def validate(self) -> "ModelConfig":
         for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass, so it is refused outright where the field is not one
-            if not isinstance(value, FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.name in FIELD_BOUNDS:
-                low, high = FIELD_BOUNDS[f.name]
-                if not low <= value < high:
-                    raise ConfigError(f"{f.name} must be in [{low}, {high}), got {value}")
+            if f.type in FIELD_KINDS:
+                bounds = FIELD_BOUNDS.get(f.name, ())  # none for the switches
+                check_value(f.name, getattr(self, f.name), FIELD_KINDS[f.type], *bounds, error=ConfigError)
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.gate_force not in GATE_FORCE_MODES:

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import engine
-from .data import NormStats, Sample, denormalize, normalize
+from .data import NormStats, Sample, check_value, denormalize, normalize
 from .engine import Tape, Tensor
 from .errors import ConfigError, MetricError, NumericalError
 from .model import ModelConfig, PgotModel, check_dims, save_checkpoint
@@ -131,20 +131,16 @@ def clip_grad_norm(params, max_norm: float) -> float:
     return norm
 
 
-# [low, high) of each training value; NaN fails every comparison and is refused too
-TRAINING_BOUNDS = {"steps": (1, math.inf), **dict.fromkeys(("lr", "weight_decay", "clip_norm"), (0.0, math.inf))}
+# the kind and low bound of each value train() takes from a config's "training" object; none has a high one
+TRAINING_BOUNDS = {"steps": (int, 1), **dict.fromkeys(("lr", "weight_decay", "clip_norm"), (float, 0.0))}
 
 
 def check_training_values(**values) -> None:
-    """Refuse a training value outside its ``TRAINING_BOUNDS`` range."""
+    """Refuse an unknown training key, or a value of the wrong kind or outside its ``TRAINING_BOUNDS``."""
     for key, value in values.items():
-        low, high = TRAINING_BOUNDS[key]
-        try:
-            inside = low <= float(value) < high
-        except OverflowError:  # an integer beyond the float range
-            inside = False
-        if not inside:
-            raise ConfigError(f"training {key} must be in [{low}, {high}), got {value!r:.40}")
+        if key not in TRAINING_BOUNDS:
+            raise ConfigError(f"unknown training field {key!r:.40}; choose from {sorted(TRAINING_BOUNDS)}")
+        check_value(f"training {key}", value, *TRAINING_BOUNDS[key], error=ConfigError)
 
 
 def cosine_lr(step: int, total_steps: int, lr: float) -> float:

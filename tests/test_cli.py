@@ -94,6 +94,12 @@ USAGE_ERRORS = {
     "bad-choice": GEN_ARGS + ["--task", "heat"],
     "seed-negative": GEN_ARGS + ["--seed", "-1"],
     "seed-2**128": GEN_ARGS + ["--seed", str(2**128)],
+    "resolution-1000": GEN_ARGS + ["--resolution", "1000"],
+    "points-5": GEN_ARGS + ["--points", "5"],
+    # argparse joins the stray arguments into its message, and the config error names the path as given
+    "stray-argument-newline": ["eval", "--checkpoint", "a", "--data", "b", "x\ny"],
+    "config-path-newline": ["bench", "--config", "no\nfile", "--sizes", "64", "--out", "b.csv"],
+    "config-path-carriage-return": ["bench", "--config", "no\rfile", "--sizes", "64", "--out", "b.csv"],
 }
 
 
@@ -102,7 +108,7 @@ def test_usage_error_exit_2_with_one_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
     assert main(USAGE_ERRORS[case]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1 and "\r" not in captured.err
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 
@@ -471,6 +477,7 @@ def _huge_weight_eval(tmp_path, config_path):
 SUBPROCESS_CASES = {
     "eval-3e38-weight": _huge_weight_eval,
     "gen-seed-negative": lambda *_: (GEN_ARGS + ["--seed", "-1"], 2),
+    "eval-stray-argument-newline": lambda *_: (["eval", "--checkpoint", "a", "--data", "b", "x\ny"], 2),
     "bench-repeats-x": lambda tmp_path, config_path: (
         ["bench", "--config", str(config_path), "--sizes", "64", "--repeats", "x", "--out", str(tmp_path / "b.csv")],
         2,

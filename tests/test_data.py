@@ -68,6 +68,22 @@ class TestPoissonOracle:
         with pytest.raises(DataError):
             gen_poisson2d(1, 100, 1)
 
+    @pytest.mark.parametrize(
+        "generator,args,named",
+        [
+            (gen_poisson2d, (-1, 12, 1), "seed"),
+            (gen_poisson2d, (2**128, 12, 1), "seed"),
+            (gen_poisson2d, (1.5, 12, 1), "seed"),
+            (gen_poisson2d, (1, 12.0, 1), "resolution"),
+            (gen_poisson2d, (1, 12, True), "samples"),
+            (gen_pointcloud_stress, (1, 2049, 1), "points"),
+            (gen_pointcloud_stress, (1, 64, 0), "samples"),
+        ],
+    )
+    def test_bad_arguments_raise_data_error(self, generator, args, named):
+        with pytest.raises(DataError, match=named):
+            generator(*args)
+
 
 class TestPointCloud:
     def test_boundary_values(self):

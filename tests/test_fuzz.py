@@ -1,9 +1,12 @@
-"""Structured fuzz over checkpoint and sample files: damaged bytes reach
-`pgot eval` and `pgot inspect`, which must end in a documented exit code with
-no stderr on success and exactly one line otherwise."""
+"""Structured fuzz over checkpoint and sample files, command-line flags and
+config values: damaged bytes reach `pgot eval` and `pgot inspect`, hostile
+values reach `pgot gen`, `pgot bench` and `pgot train`, and each must end in a
+documented exit code with no stderr on success and exactly one line otherwise."""
 
 import contextlib
 import io
+import json
+import math
 import shutil
 import struct
 
@@ -47,13 +50,13 @@ def damaged(draw, blob: bytes, keep: range = range(0)):
     return blob[:start] + draw(st.binary(max_size=16)) + blob[start + removed :]
 
 
-def check_cli(argv):
+def check_cli(argv, codes=(0, 2, 3, 4)):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2, 3, 4)
+    assert code in codes, (code, err.getvalue())
     stderr = err.getvalue()
-    assert stderr == "" if code == 0 else stderr.count("\n") == 1 and stderr.endswith("\n"), stderr
+    assert stderr == "" if code == 0 else stderr.count("\n") == 1 and stderr.endswith("\n") and "\r" not in stderr, stderr
 
 
 def run_eval_and_inspect(files, checkpoint, data, sample):
@@ -77,3 +80,134 @@ def test_damaged_sample(files, data):
     path = files / "damaged" / "sample_0001.pgds"
     path.write_bytes(data.draw(damaged((files / "data" / "sample_0001.pgds").read_bytes())))
     run_eval_and_inspect(files, files / "m.pgck", files / "damaged", path)
+
+
+class Raw(str):
+    """Text that goes into a config file unquoted and onto the command line as it is."""
+
+
+# values no flag or config key accepts: negative and huge integers (past the float range, or past the
+# 4300 digits Python reads), NaN and infinities, the wrong JSON type, and strings holding line breaks
+NEWLINE_TEXT = st.text(alphabet="x1-,.\n\r", min_size=1, max_size=8).filter(lambda t: "\n" in t or "\r" in t)
+HOSTILE = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=2**1024, max_value=10**400),
+    st.just(Raw("1" + "0" * 5000)),
+    st.sampled_from([math.nan, math.inf, -math.inf, None, "1", [], {}]),
+    NEWLINE_TEXT,
+)
+# valid draws stay small, so a run takes milliseconds, and fit the dataset (d_a 1), so a run with only
+# valid values must succeed; the base values stand in for the larger defaults
+MODEL_BASE = {"layers": 1, "width": 8, "slices": 2, "heads": 2}
+MODEL_VALUES = {
+    "layers": st.integers(1, 2),
+    "width": st.sampled_from([8, 16]),
+    "slices": st.integers(2, 4),
+    "heads": st.sampled_from([1, 2]),
+    "d_a": st.just(1),
+    "dropout": st.floats(0.0, 0.5),
+    "disable_sga": st.booleans(),
+    "seed": st.sampled_from([0, 2**128 - 1]),
+}
+TRAINING_BASE = {"steps": 1}
+TRAINING_VALUES = {
+    "steps": st.integers(1, 2),
+    "lr": st.floats(0.0, 1e-2),
+    "weight_decay": st.floats(0.0, 1e-2),
+    "clip_norm": st.integers(0, 5),
+}
+
+# what a flag takes but int() cannot read, or reads to a value outside every flag's bounds
+BAD_FLAG_TEXT = st.one_of(HOSTILE.map(str), st.sampled_from(["", "1.5", "0x10", "nan", "1e3"]))
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    write_dataset(gen_poisson2d(9, 8, 4), root / "data", task="poisson2d")
+    (root / "bench.json").write_text(json.dumps({"model": MODEL_BASE}))
+    return root
+
+
+def swapped(value):
+    """A valid value in the next JSON type along, which its key refuses (or, for an int, may accept)."""
+    return {bool: int, int: float, float: str}[type(value)](value)
+
+
+def to_json(values: dict) -> str:
+    return "{%s}" % ", ".join(f"{json.dumps(k)}: {v if isinstance(v, Raw) else json.dumps(v)}" for k, v in values.items())
+
+
+@st.composite
+def train_config(draw) -> tuple[str, bool]:
+    """A config file's text: the base values, some keys set to a valid value, and half the time up to
+    two keys set to a hostile or type-swapped one; at times an unknown key holds a line break. Also
+    whether every value is valid."""
+    sections = {"model": (MODEL_BASE, MODEL_VALUES), "training": (TRAINING_BASE, TRAINING_VALUES)}
+    keys = sorted((section, key) for section, (_, valid) in sections.items() for key in valid)
+    bad = draw(st.sets(st.sampled_from(keys), min_size=1, max_size=2)) if draw(st.booleans()) else set()
+    text = {}
+    for section, (base, valid) in sections.items():
+        values = dict(base)
+        for key, strategy in valid.items():
+            if (section, key) in bad:
+                values[key] = draw(st.one_of(HOSTILE, strategy.map(swapped)))
+            elif draw(st.booleans()):
+                values[key] = draw(strategy)
+        if draw(st.integers(0, 19)) == 0:
+            unknown = draw(NEWLINE_TEXT)
+            values[unknown] = 1
+            bad.add((section, unknown))
+        text[section] = to_json(values)
+    return '{"model": %(model)s, "training": %(training)s}' % text, not bad
+
+
+def check_argv(data, argv, flags: dict, valid_so_far: bool = True):
+    """Run ``argv`` plus each flag in ``flags``, half the time with up to two of them given bad text,
+    and at times one stray argument holding a line break; a run with valid values only must succeed."""
+    bad = set()
+    if flags and data.draw(st.booleans()):
+        bad = data.draw(st.sets(st.sampled_from(sorted(flags)), min_size=1, max_size=2))
+    for flag, valid in flags.items():
+        argv += [flag, data.draw(BAD_FLAG_TEXT if flag in bad else valid)]
+    if data.draw(st.integers(0, 4)) == 0:
+        stray = data.draw(NEWLINE_TEXT)
+        argv.append(stray)
+        bad.add(stray)
+    check_cli(argv, codes=(0,) if valid_so_far and not bad else (0, 2, 3))
+
+
+ARGV_FUZZ = settings(FUZZ, max_examples=120)
+
+
+@ARGV_FUZZ
+@given(data=st.data())
+def test_gen_flags(argv_files, data):
+    task = data.draw(st.sampled_from(["poisson2d", "pointcloud_stress"]))
+    flags = {
+        "--samples": st.integers(1, 2),
+        "--resolution": st.integers(8, 10),
+        "--points": st.integers(64, 80),
+        "--seed": st.sampled_from([0, 2**128 - 1]),
+    }
+    argv = ["gen", "--task", task, "--out", str(argv_files / "gen"), "--force"]
+    check_argv(data, argv, {flag: valid.map(str) for flag, valid in flags.items()})
+
+
+@ARGV_FUZZ
+@given(data=st.data())
+def test_bench_flags(argv_files, data):
+    config = data.draw(st.sampled_from([str(argv_files / "bench.json")] * 3 + ["no\nconfig"]))
+    sizes = st.sets(st.integers(1, 32), min_size=1, max_size=3).map(lambda n: ",".join(map(str, sorted(n))))
+    argv = ["bench", "--config", config, "--out", str(argv_files / "b.csv")]
+    check_argv(data, argv, {"--sizes": sizes, "--repeats": st.integers(1, 2).map(str)}, "\n" not in config)
+
+
+@ARGV_FUZZ
+@given(data=st.data())
+def test_train_config(argv_files, data):
+    text, valid = data.draw(train_config())
+    config = argv_files / "train.json"
+    config.write_text(text)
+    argv = ["train", "--config", str(config), "--data", str(argv_files / "data"), "--out", str(argv_files / "run")]
+    check_argv(data, argv, {}, valid)

@@ -303,8 +303,14 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize(
         "option",
-        [{"steps": 0}, {"lr": math.nan}, {"lr": math.inf}, {"weight_decay": -1.0}, {"clip_norm": -1.0}],
-        ids=["steps-0", "lr-nan", "lr-inf", "weight-decay-negative", "clip-norm-negative"],
+        [
+            {"steps": 0}, {"lr": math.nan}, {"lr": math.inf}, {"weight_decay": -1.0}, {"clip_norm": -1.0},
+            {"steps": True}, {"steps": 2.5}, {"steps": 10**400}, {"lr": "0.001"}, {"weight_decay": None},
+        ],
+        ids=[
+            "steps-0", "lr-nan", "lr-inf", "weight-decay-negative", "clip-norm-negative",
+            "steps-bool", "steps-float", "steps-10**400", "lr-string", "weight-decay-none",
+        ],
     )
     def test_out_of_range_values_rejected(self, small_dataset, option):
         samples, stats = small_dataset
