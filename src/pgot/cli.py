@@ -19,8 +19,8 @@ import numpy as np
 
 from .bench import run_bench, write_bench_csv
 from .data import (
-    GENERATOR_BOUNDS, GENERATORS, NormStats, check_value, read_dataset, read_json_object, read_manifest, read_sample,
-    require_object, write_dataset
+    GENERATOR_BOUNDS, GENERATORS, MANIFEST_NAME, NormStats, check_value, normalize, read_dataset, read_json_object,
+    read_manifest, read_sample, require_object, write_dataset
 )
 from .errors import ConfigError, DataError, MetricError, NumericalError
 from .model import ModelConfig, check_dims, load_checkpoint
@@ -75,10 +75,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _, report = train(config, samples, stats, checkpoint_path=out_dir / "checkpoint.pgck", **train_opts)
     report.save(out_dir / "report.json")
-    print(
-        f"final train relative L2: {report.final_train_rel_l2:.6f} "
-        f"(eval {report.eval_rel_l2:.6f}, {report.wall_time_s:.1f}s)"
-    )
+    print(f"final train relative L2: {report.final_train_rel_l2:.6f} ({report.wall_time_s:.1f}s)")
     print(json.dumps(report.to_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -111,10 +108,13 @@ def cmd_inspect(args) -> int:
     model = load_checkpoint(args.checkpoint)
     sample = read_sample(args.sample)
     check_dims(model.config, [sample])
+    # the model reads normalized inputs, as in `pgot eval`: take the stats of the dataset the sample sits in
+    stats = NormStats.from_dict(read_manifest(Path(args.sample).with_name(MANIFEST_NAME))["normalization"])
+    stats.check_channels(sample, args.sample)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model.set_inspection(True)
-    model.predict(sample.input, sample.coords)
+    model.predict(normalize(sample.input, stats.input_mean, stats.input_std), sample.coords)
     coord_cols = [f"x{i}" for i in range(sample.coords.shape[1])]
     for layer, block in enumerate(model.blocks):
         # layers without inspection state (dense attention, plain FFN) dump nothing

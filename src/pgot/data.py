@@ -76,6 +76,11 @@ class NormStats:
                 raise DataError(f"normalization {kind}_std must be positive, one per {kind}_mean entry")
         return cls(**arrays)
 
+    def check_channels(self, sample: Sample, what: str) -> None:
+        """Refuse ``sample`` unless it has one input and one target channel per entry of these stats."""
+        if (sample.input.shape[1], sample.target.shape[1]) != (self.input_mean.size, self.target_mean.size):
+            raise DataError(f"{what}: channel counts differ from the manifest's normalization stats")
+
 
 def compute_stats(samples: list[Sample]) -> NormStats:
     inputs = np.concatenate([s.input for s in samples], axis=0).astype(np.float64)
@@ -276,14 +281,17 @@ def write_dataset(samples: list[Sample], out_dir, task: str, split: str = "train
     """Write one PGDS file per sample plus the split manifest.
 
     Train splits compute their own normalization statistics; test splits
-    must be handed the train statistics.
+    must be handed the train statistics. A sample whose channel counts differ
+    from the statistics is refused before anything is created.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if split == "train":
         stats = compute_stats(samples)
     elif stats is None:
         raise DataError("non-train split requires normalization stats from the train split")
+    for i, sample in enumerate(samples):
+        stats.check_channels(sample, f"sample {i}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     for i, sample in enumerate(samples):
         name = f"sample_{i:04d}.pgds"
@@ -337,6 +345,8 @@ def read_manifest(path) -> dict:
     """Load a split manifest, checking everything its readers rely on: a
     non-empty "samples" list of objects whose "file" is a plain name inside
     the dataset directory, and well-formed "normalization" stats."""
+    if not os.path.isfile(path):
+        raise DataError(f"no manifest file {path}")
     with open(path, "rb") as fh:
         manifest = read_json_object(fh.read(), "manifest")
     entries = manifest.get("samples")
@@ -354,15 +364,11 @@ def read_manifest(path) -> dict:
 
 def read_dataset(path) -> tuple[list[Sample], dict]:
     path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise DataError(f"no {MANIFEST_NAME} in {path}")
-    manifest = read_manifest(manifest_path)
+    manifest = read_manifest(path / MANIFEST_NAME)
     stats = NormStats.from_dict(manifest["normalization"])
     samples = []
     for entry in manifest["samples"]:
         sample = read_sample(path / entry["file"], meta=entry.get("meta"))
-        if (sample.input.shape[1], sample.target.shape[1]) != (stats.input_mean.size, stats.target_mean.size):
-            raise DataError(f"{entry['file']}: channel counts differ from the manifest's normalization stats")
+        stats.check_channels(sample, entry["file"])
         samples.append(sample)
     return samples, manifest

@@ -592,7 +592,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     c = x.data.shape[-1]
     if gain.data.shape != (c,) or bias.data.shape != (c,):
         raise ShapeError(
@@ -601,7 +601,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # row statistics reduce over channels only, so they run in the storage dtype
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = np.square(xhat).mean(axis=-1, keepdims=True)
-    var += eps
+    var += 1e-5  # keeps a constant row finite
     inv = np.sqrt(var, out=var)
     np.reciprocal(inv, out=inv)
     xhat *= inv

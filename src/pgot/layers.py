@@ -56,9 +56,9 @@ class Linear(Module):
 class Mlp2(Module):
     """Two-layer perceptron with GELU between."""
 
-    def __init__(self, rng: Rng, d_in: int, d_hidden: int, d_out: int, bias: bool = True):
-        self.fc1 = Linear(rng, d_in, d_hidden, bias=bias)
-        self.fc2 = Linear(rng, d_hidden, d_out, bias=bias)
+    def __init__(self, rng: Rng, d_in: int, d_hidden: int, d_out: int):
+        self.fc1 = Linear(rng, d_in, d_hidden)
+        self.fc2 = Linear(rng, d_hidden, d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(engine.gelu(self.fc1(x)))

@@ -76,14 +76,15 @@ def relative_l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
+
+
 class AdamW:
     """Adam with decoupled weight decay; each ``p.data`` becomes a view of one flat vector."""
 
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 0.0):
         self.params = list(params)  # list of (name, Tensor)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.flat = np.concatenate([p.data.ravel() for _, p in self.params])
@@ -105,13 +106,13 @@ class AdamW:
         # all that can raise comes before the first write, so a failed step changes nothing
         decay = np.asarray(1.0 - lr * self.weight_decay, dtype=self.flat.dtype)
         self.step_count += 1
-        bc1, bc2 = 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
+        bc1, bc2 = 1.0 - BETA1**self.step_count, 1.0 - BETA2**self.step_count
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * g
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * g * g
         self.flat *= decay  # exact when weight_decay is 0
-        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + EPS)
         self.flat[:] = self.flat - lr * update
 
 
@@ -164,7 +165,6 @@ class RunReport:
     steps: int
     epoch_losses: list = field(default_factory=list)
     final_train_rel_l2: float | None = None
-    eval_rel_l2: float | None = None
     eval_spearman: float | None = None
     wall_time_s: float | None = None
     peak_alloc_bytes: int | None = None
@@ -253,7 +253,7 @@ def train(
     report.peak_alloc_bytes = engine.alloc_stats()["bytes"]
     report.wall_time_s = time.perf_counter() - start
     # the last step always ends an epoch, so `metrics` evaluates the final parameters
-    report.final_train_rel_l2 = report.eval_rel_l2 = metrics["rel_l2"]
+    report.final_train_rel_l2 = metrics["rel_l2"]
     report.eval_spearman = metrics["spearman"]
     return model, report
 

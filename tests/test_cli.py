@@ -11,8 +11,8 @@ import pytest
 
 import pgot
 from pgot.cli import main
-from pgot.data import read_dataset, write_dataset
-from pgot.model import ModelConfig, PgotModel, save_checkpoint
+from pgot.data import NormStats, normalize, read_dataset, read_manifest, read_sample, write_dataset
+from pgot.model import ModelConfig, PgotModel, load_checkpoint, save_checkpoint
 
 DESK_CONFIG = {
     "model": {
@@ -74,6 +74,17 @@ class TestGen:
         argv = ["gen", "--task", "poisson2d", "--samples", "1", "--out", str(out)]
         assert main(argv) == 2
         assert main(argv + ["--force"]) == 0
+
+    def test_test_split_with_other_channel_counts_exit_3(self, tmp_path, capsys):
+        train = run_gen(tmp_path)
+        out = tmp_path / "test"
+        argv = ["gen", "--task", "pointcloud_stress", "--samples", "1", "--split", "test",
+                "--train-manifest", str(train / "manifest.json"), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1 and "channel counts" in err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         for sub in ("gen", "train", "eval", "bench", "inspect"):
@@ -458,11 +469,30 @@ class TestInspect:
         values = np.array([[float(r[f"g{j}"]) for j in range(16)] for r in rows])
         assert np.all(values > 0.0) and np.all(values < 1.0)
 
-        from pgot.data import read_sample
-
         src = read_sample(sample)
         coords = np.array([[float(r["x0"]), float(r["x1"])] for r in rows], dtype=np.float32)
         assert np.array_equal(coords, src.coords)
+
+        # the dumps are what the model computes on the input normalized as `pgot eval` normalizes it
+        stats = NormStats.from_dict(read_manifest(data / "manifest.json")["normalization"])
+        model = load_checkpoint(run_dir / "checkpoint.pgck")
+        model.set_inspection(True)
+        model.predict(normalize(src.input, stats.input_mean, stats.input_std), src.coords)
+        assert np.array_equal(weights, model.blocks[0].attn.last_assignment)
+        assert np.array_equal(values, model.blocks[0].ffn.last_gate)
+
+    def test_sample_without_manifest_exit_3(self, tmp_path, capsys):
+        sample = sorted(p for p in run_gen(tmp_path).iterdir() if p.suffix == ".pgds")[0]
+        lone = tmp_path / "lone" / sample.name
+        lone.parent.mkdir()
+        lone.write_bytes(sample.read_bytes())
+        path = tmp_path / "m.pgck"
+        save_checkpoint(PgotModel(ModelConfig(**DESK_CONFIG["model"])), path)
+        capsys.readouterr()
+        assert main(["inspect", "--checkpoint", str(path), "--sample", str(lone), "--out", str(tmp_path / "dump")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1 and "manifest.json" in err
+        assert not (tmp_path / "dump").exists()
 
 
 def _huge_weight_eval(tmp_path, config_path):

@@ -1,9 +1,11 @@
-"""Structured fuzz over checkpoint and sample files, command-line flags and
-config values: damaged bytes reach `pgot eval` and `pgot inspect`, hostile
-values reach `pgot gen`, `pgot bench` and `pgot train`, and each must end in a
+"""Structured fuzz over checkpoint and sample files, manifests, command-line
+flags and config values: damaged bytes reach `pgot eval` and `pgot inspect`,
+damaged manifests reach `pgot eval` and `pgot gen --split test`, hostile values
+reach `pgot gen`, `pgot bench` and `pgot train`, and each must end in a
 documented exit code with no stderr on success and exactly one line otherwise."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -25,7 +27,8 @@ FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     write_dataset(gen_poisson2d(5, 8, 3), root / "data", task="poisson2d")
-    shutil.copytree(root / "data", root / "damaged")
+    for name in ("damaged", "manifest"):
+        shutil.copytree(root / "data", root / name)
     save_checkpoint(PgotModel(ModelConfig(layers=1, width=8, slices=2, heads=2)), root / "m.pgck")
     return root
 
@@ -134,8 +137,13 @@ def swapped(value):
     return {bool: int, int: float, float: str}[type(value)](value)
 
 
-def to_json(values: dict) -> str:
-    return "{%s}" % ", ".join(f"{json.dumps(k)}: {v if isinstance(v, Raw) else json.dumps(v)}" for k, v in values.items())
+def to_json(value) -> str:
+    """JSON text of ``value``, with each ``Raw`` as written and NaN and infinities as Python's reader takes them."""
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in value.items())
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(map(to_json, value))
+    return value if isinstance(value, Raw) else json.dumps(value)
 
 
 @st.composite
@@ -211,3 +219,85 @@ def test_train_config(argv_files, data):
     config.write_text(text)
     argv = ["train", "--config", str(config), "--data", str(argv_files / "data"), "--out", str(argv_files / "run")]
     check_argv(data, argv, {}, valid)
+
+
+class Twin(str):
+    """A key equal only to itself, so an object can hold it beside the key it spells: its text then has
+    that key twice."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+# what a string in a manifest is swapped for: a name that is not a plain file in the dataset directory,
+# names another file in it, or is too long for the file system; NUL comes first, as hypothesis favours it
+NAMES = st.lists(
+    st.sampled_from(["\0", "/", "..", "\n", "x" * 300, "sample_0001.pgds", "manifest.json"]),
+    min_size=1,
+    max_size=3,
+).map("".join)
+# what any manifest value may be swapped for: every JSON type, numbers no reader takes, and nested junk
+MANIFEST_JUNK = st.one_of(
+    HOSTILE,
+    NAMES,
+    st.sampled_from([True, False, 0, 0.0, 1e308, -1e308, 2**64, "", [], {}, [[]], {"": None}]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+def json_paths(value, at=()):
+    """The path of everything inside ``value`` and then of ``value``, as tuples of keys and indices.
+    Hypothesis favours the first of a list, so the root comes last and the first leaf first."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from json_paths(child, (*at, key))
+    yield at
+
+
+@st.composite
+def damaged_manifest(draw, manifest: dict) -> str:
+    """``manifest``'s text after one to three edits, each at any path: swap the value for junk, delete
+    it, empty it, or duplicate it (a list item twice in a row, an object key twice)."""
+
+    def junk(strategy=MANIFEST_JUNK):
+        # sampled_from hands out the same list and dict objects each time: later edits must not reach them
+        return copy.deepcopy(draw(strategy))
+
+    root = copy.deepcopy(manifest)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(root))))
+        if not path:
+            root = junk()
+            continue
+        parent = root
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        edit = draw(st.sampled_from(["swap", "swap", "delete", "empty", "duplicate"]))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "empty":
+            parent[key] = junk(st.sampled_from([[], {}, ""]))
+        elif edit == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif edit == "duplicate":
+            parent[Twin(key)] = junk(st.one_of(st.just(parent[key]), MANIFEST_JUNK))
+        else:
+            parent[key] = junk(NAMES if isinstance(parent[key], str) else MANIFEST_JUNK)
+    return to_json(root)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_manifest(files, data):
+    manifest = json.loads((files / "data" / "manifest.json").read_text())
+    manifest = {"samples": manifest.pop("samples"), **manifest}  # the first leaf is then a file name
+    path = files / "manifest" / "manifest.json"
+    path.write_text(data.draw(damaged_manifest(manifest)))
+    check_cli(["eval", "--checkpoint", str(files / "m.pgck"), "--data", str(path.parent)])
+    gen = ["gen", "--task", "poisson2d", "--samples", "1", "--resolution", "8", "--split", "test"]
+    check_cli(gen + ["--train-manifest", str(path), "--out", str(files / "test"), "--force"])
