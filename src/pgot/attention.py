@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import engine
-from .engine import Rng, ShapeError, Tensor
+from .engine import Rng, Tensor
 from .geometry import GeometricEncoderBank
 from .layers import Linear, Module, init_uniform
 
@@ -25,8 +25,6 @@ class LatentMhsa(Module):
     """Standard multi-head self-attention over the M latent tokens."""
 
     def __init__(self, rng: Rng, width: int, heads: int):
-        if width % heads != 0:
-            raise ShapeError(f"width {width} not divisible by heads {heads}")
         self.width = width
         self.heads = heads
         self.head_dim = width // heads
@@ -70,8 +68,6 @@ class SpecGeoAttention(Module):
         scales: int,
         use_geometry: bool = True,
     ):
-        if slices < 2:
-            raise ShapeError(f"slice count must be >= 2, got {slices}")
         self.slices = slices
         self.wx = Linear(rng, width, width, bias=False)
         self.wf = Linear(rng, width, width, bias=False)

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .engine import Rng
-from .errors import BadMagicError, DataError, GeneratorError, TruncatedError, VersionError
+from .errors import BadMagicError, DataError, TruncatedError, VersionError
 
 SAMPLE_MAGIC = b"PGDS"
 SAMPLE_VERSION = 1
@@ -180,7 +180,7 @@ def gen_pointcloud_stress(seed: int, points: int, samples: int) -> list[Sample]:
             batch = rng.uniform(-1.0, 1.0, (points * 4, 2)).astype(np.float64)
             attempts += batch.shape[0]
             if attempts > 10**6:
-                raise GeneratorError("annulus rejection sampling exceeded 1e6 attempts")
+                raise DataError("annulus rejection sampling exceeded 1e6 attempts")
             r = np.hypot(batch[:, 0], batch[:, 1])
             keep = (r >= r_in) & (r <= r_out)
             accepted = np.concatenate([accepted, batch[keep]], axis=0)

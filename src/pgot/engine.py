@@ -139,9 +139,6 @@ class Rng:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
-    def stream(self, index: int) -> "Rng":
-        return Rng(self.seed ^ int(index))
-
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape).astype(_DTYPE)
 
@@ -195,26 +192,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, index):
         return _getitem(self, index)
@@ -254,9 +236,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         Tape.current = self._outer
         return False
-
-    def __len__(self):
-        return len(self._records)
 
     def record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable):
         self._records.append((out, parents, backward_fn))

@@ -21,10 +21,6 @@ class TruncatedError(DataError):
     """File ends before the declared payload is complete."""
 
 
-class GeneratorError(DataError):
-    """Synthetic data generation failed (e.g. rejection sampling stalled)."""
-
-
 class NumericalError(RuntimeError):
     """NaN/Inf encountered during forward or optimization. Exit 4."""
 

@@ -7,7 +7,6 @@ import numpy as np
 
 from . import engine
 from .engine import Rng, Tensor
-from .errors import ConfigError
 from .layers import Linear, Mlp2, Module
 
 # gate_force mode -> constant blend weight; None keeps the learned gate
@@ -31,8 +30,6 @@ class TaylorDecompFFN(Module):
         dropout_rate: float = 0.0,
         gate_force: str | None = None,
     ):
-        if gate_force not in GATE_FORCE_MODES:
-            raise ConfigError(f"unknown gate_force mode {gate_force!r}")
         hidden = 2 * width
         self.width = width
         self.dropout_rate = dropout_rate

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .engine import ParameterError, Rng, Tensor
+from .engine import Rng, Tensor
 from .errors import DataError
 from .layers import Linear, Mlp2, Module
 
@@ -34,8 +34,6 @@ def pos_embed(coords_norm: np.ndarray, frequencies: int) -> np.ndarray:
     For d axes the output has d * (2 * frequencies + 1) columns; all
     features lie in [-1, 1].
     """
-    if frequencies < 1:
-        raise ParameterError(f"frequency count must be >= 1, got {frequencies}")
     g = np.asarray(coords_norm, dtype=np.float64)
     feats = []
     for k in range(frequencies):
@@ -57,8 +55,6 @@ class GeometricEncoderBank(Module):
     ITEM = "scale"
 
     def __init__(self, rng: Rng, d: int, width: int, scales: int):
-        if scales < 1:
-            raise ParameterError(f"scales must be >= 1, got {scales}")
         self.c_geo = max(width // 2, 1)
         self.encoders = [Mlp2(rng, d, self.c_geo, self.c_geo) for _ in range(scales)]
         self.fuse = Linear(rng, scales * self.c_geo, width, bias=False)

@@ -268,10 +268,13 @@ def evaluate(model: PgotModel, samples: list[Sample], stats: NormStats) -> dict:
     errors = []
     mean_true = []
     mean_pred = []
-    for s in samples:
+    for index, s in enumerate(samples):
         a_norm = normalize(s.input, stats.input_mean, stats.input_std)
         pred_norm = model.predict(a_norm, s.coords).data
         pred = denormalize(pred_norm, stats.target_mean, stats.target_std)
+        # finite model outputs can still overflow here, through huge target stats
+        if not np.all(np.isfinite(pred)):
+            raise NumericalError(f"non-finite denormalized prediction for sample {index}")
         errors.append(relative_l2(s.target, pred))
         mean_true.append(float(s.target.mean()))
         mean_pred.append(float(pred.mean()))

@@ -107,6 +107,7 @@ USAGE_ERRORS = {
     "seed-2**128": GEN_ARGS + ["--seed", str(2**128)],
     "resolution-1000": GEN_ARGS + ["--resolution", "1000"],
     "points-5": GEN_ARGS + ["--points", "5"],
+    "test-split-without-train-manifest": GEN_ARGS + ["--split", "test"],
     # argparse joins the stray arguments into its message, and the config error names the path as given
     "stray-argument-newline": ["eval", "--checkpoint", "a", "--data", "b", "x\ny"],
     "config-path-newline": ["bench", "--config", "no\nfile", "--sizes", "64", "--out", "b.csv"],
@@ -495,11 +496,46 @@ class TestInspect:
         assert not (tmp_path / "dump").exists()
 
 
-def _huge_weight_eval(tmp_path, config_path):
+def _save_huge_weight_checkpoint(path) -> None:
     model = PgotModel(ModelConfig(**DESK_CONFIG["model"]))
     # finite, but the lift's products overflow float32 and numpy would warn on the way to the failure
     dict(model.parameters())["lift.fc1.w"].data[...] = 3e38
-    save_checkpoint(model, tmp_path / "m.pgck")
+    save_checkpoint(model, path)
+
+
+class TestNumericalFailure:
+    def test_huge_weights_eval_and_inspect_exit_4_with_one_line(self, tmp_path, capsys):
+        data = run_gen(tmp_path)
+        sample = sorted(p for p in data.iterdir() if p.suffix == ".pgds")[0]
+        path = tmp_path / "m.pgck"
+        _save_huge_weight_checkpoint(path)
+        capsys.readouterr()
+        for argv in (
+            ["eval", "--checkpoint", str(path), "--data", str(data)],
+            ["inspect", "--checkpoint", str(path), "--sample", str(sample), "--out", str(tmp_path / "dump")],
+        ):
+            assert main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.err == "numerical failure: non-finite activations after block 0\n"
+            assert captured.out == ""
+
+    def test_eval_huge_target_std_exit_4_with_one_line(self, tmp_path, capsys):
+        # finite and positive, so the manifest is accepted, but the denormalized predictions overflow
+        data = run_gen(tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["normalization"]["target_std"] = [1e300]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        path = tmp_path / "m.pgck"
+        save_checkpoint(PgotModel(ModelConfig(**DESK_CONFIG["model"])), path)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: non-finite denormalized prediction for sample 0\n"
+        assert captured.out == ""
+
+
+def _huge_weight_eval(tmp_path, config_path):
+    _save_huge_weight_checkpoint(tmp_path / "m.pgck")
     return ["eval", "--checkpoint", str(tmp_path / "m.pgck"), "--data", str(run_gen(tmp_path))], 4
 
 

@@ -287,11 +287,6 @@ class TestRng:
         b = Rng(42).uniform(-1, 1, (100,))
         assert np.array_equal(a, b)
 
-    def test_streams_differ(self):
-        a = Rng(42).stream(1).uniform(-1, 1, (100,))
-        b = Rng(42).stream(2).uniform(-1, 1, (100,))
-        assert not np.array_equal(a, b)
-
 
 class TestAllocCounter:
     def test_counts_tensor_bytes(self):

@@ -3,7 +3,6 @@ import pytest
 
 from pgot import engine
 from pgot.engine import Rng, Tensor
-from pgot.errors import ConfigError
 from pgot.ffn import PlainFFN, TaylorDecompFFN
 from pgot.geometry import pos_embed
 
@@ -158,10 +157,6 @@ class TestBlend:
         changed = np.any(half != bumped, axis=0)
         assert changed[3]
         assert not np.any(changed[np.arange(8) != 3])
-
-    def test_bad_gate_force_rejected(self):
-        with pytest.raises(ConfigError):
-            make_ffn(gate_force="sometimes")
 
     def test_gradient(self):
         with engine.float64_mode():

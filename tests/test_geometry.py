@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pgot import engine
-from pgot.engine import ParameterError, Rng, Tensor
+from pgot.engine import Rng, Tensor
 from pgot.errors import DataError
 from pgot.geometry import GeometricEncoderBank, normalize_coords, pos_embed
 
@@ -51,10 +51,6 @@ class TestPosEmbed:
         rng = Rng(6)
         out = pos_embed(rng.random((100, 2)), frequencies=8)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
-
-    def test_bad_frequency_count(self):
-        with pytest.raises(ParameterError):
-            pos_embed(np.zeros((1, 2)), frequencies=0)
 
 
 class TestEncoderBank:

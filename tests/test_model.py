@@ -33,7 +33,7 @@ class TestConfig:
         [
             ("layers", 0), ("slices", 1), ("scales", 0), ("heads", 3), ("dropout", 1.0), ("gate_force", "no"),
             ("layers", "1"), ("layers", 1.0), ("disable_sga", 1), ("heads", 0), ("width", 0),
-            ("seed", -1), ("seed", 2**128), ("dropout", "0"),
+            ("seed", -1), ("seed", 2**128), ("dropout", "0"), ("pe_frequencies", 0), ("pe_frequencies", 25),
         ],
     )
     def test_invalid_rejected(self, field, value):
