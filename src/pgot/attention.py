@@ -100,7 +100,7 @@ class SpecGeoAttention(Module):
         xf = self.wf(x)
         col = engine.sum_(assignment, axis=0)  # (M,)
         self.dead_slice_events += int(np.count_nonzero(col.data < DEAD_SLICE_EPS))
-        num = engine.matmul(engine.transpose(assignment), xf)  # (M, C)
+        num = engine.matmul(engine.transpose(assignment), xf, accumulate64=True)  # (M, C), a sum over points
         denom = engine.reshape(engine.clip_min(col, DEAD_SLICE_EPS), (self.slices, 1))
         return engine.div(num, denom)
 

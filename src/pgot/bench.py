@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import time
+import tracemalloc
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,6 +24,7 @@ class BenchRecord:
     fwd_us_max: float
     fwdbwd_us_med: float
     peak_bytes: int
+    live_peak_bytes: int
     config_hash: str
 
     def row(self) -> list:
@@ -45,11 +47,22 @@ def _time_us(fn, repeats: int) -> tuple[float, float, float]:
     return float(np.median(times)), float(min(times)), float(max(times))
 
 
+def _live_peak_bytes(fn) -> int:
+    """The most bytes ``fn`` holds at once, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[BenchRecord]:
     """One record per mesh size N for the given configuration.
 
     ``peak_bytes`` is the cumulative tensor bytes allocated by the engine
-    during one forward pass (not OS-level RSS).
+    during one forward pass (not OS-level RSS); ``live_peak_bytes`` is the
+    most bytes held at once during another forward pass (tracemalloc).
     """
     if sizes != sorted(sizes):
         raise ConfigError(f"sizes must be ascending, got {sizes}")
@@ -72,6 +85,7 @@ def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[B
         engine.reset_alloc_stats()
         model.predict(a, coords)
         peak = engine.alloc_stats()["bytes"]
+        live_peak = _live_peak_bytes(lambda: model.predict(a, coords))
         records.append(
             BenchRecord(
                 n=n,
@@ -80,6 +94,7 @@ def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[B
                 fwd_us_max=hi,
                 fwdbwd_us_med=fb_med,
                 peak_bytes=peak,
+                live_peak_bytes=live_peak,
                 config_hash=config.hash(),
             )
         )

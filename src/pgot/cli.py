@@ -53,13 +53,13 @@ def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_dir} is not empty (use --force to overwrite)")
-    size = args.resolution if args.task == "poisson2d" else args.points
-    samples = GENERATORS[args.task](args.seed, size, args.samples)
     stats = None
     if args.split != "train":
         if not args.train_manifest:
             raise ConfigError("test splits need --train-manifest for normalization stats")
         stats = NormStats.from_dict(read_manifest(args.train_manifest)["normalization"])
+    size = args.resolution if args.task == "poisson2d" else args.points
+    samples = GENERATORS[args.task](args.seed, size, args.samples)
     manifest = write_dataset(samples, out_dir, task=args.task, split=args.split, stats=stats)
     n = samples[0].coords.shape[0]
     print(f"wrote {manifest['count']} {args.task} samples ({n} points each) to {out_dir}")
@@ -111,10 +111,10 @@ def cmd_inspect(args) -> int:
     # the model reads normalized inputs, as in `pgot eval`: take the stats of the dataset the sample sits in
     stats = NormStats.from_dict(read_manifest(Path(args.sample).with_name(MANIFEST_NAME))["normalization"])
     stats.check_channels(sample, args.sample)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model.set_inspection(True)
     model.predict(normalize(sample.input, stats.input_mean, stats.input_std), sample.coords)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     coord_cols = [f"x{i}" for i in range(sample.coords.shape[1])]
     for layer, block in enumerate(model.blocks):
         # layers without inspection state (dense attention, plain FFN) dump nothing

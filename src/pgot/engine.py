@@ -3,27 +3,27 @@
 Values are stored as contiguous numpy arrays in 32-bit floats. A 64-bit
 mode exists for finite-difference gradient checks (see ``float64_mode``).
 
-Precision rule: kernels that exact permutation equivariance rests on
-accumulate in 64-bit regardless of mode; everything else runs in the storage
-dtype.
+Precision rule: products run in float32, sums over mesh points accumulate
+in 64-bit, and ``float64_mode`` runs everything in 64-bit.
 
-* 64-bit accumulation: the matmul forward product, the matmul weight
-  gradient ``a^T g`` (a sum over mesh points), ``sum_``/``mean_``, softmax
-  normalisers, broadcast-gradient sums and the LayerNorm ``gain``/``bias``
-  gradients. The forward product stays 64-bit even for pointwise
-  (N, C) @ (C, C') shapes, because a float32 BLAS gemm does not give a row
-  the same bits at every row position. With OpenBLAS's Haswell kernels,
-  outputs with 1 column (inner dimension 8 and up) or with 2, 3, 5, 6 or 7
-  columns (inner dimension 32 and up) change in the last bit with the row's
-  place in the blocking; a ``d_u=3`` decoder and slice logits with fewer than
-  8 slices hit this. Which shapes are safe depends on the kernel the CPU
-  selects, so no shape is exempted.
-* Storage dtype: the matmul input gradient ``g b^T`` (no invariant pins
-  gradients bit for bit), the LayerNorm row statistics (mean and variance
-  over channels, forward and backward; they never mix points) and every
-  elementwise op. In float32 mode GELU uses a float32 polynomial ``erf``
-  (Abramowitz & Stegun 7.1.26, absolute error below 1e-6); ``float64_mode``
-  keeps scipy's exact ``erf`` for gradient checks.
+* float32 with column padding: the matmul forward product, unless marked
+  ``accumulate64``. The right operand gets zero columns up to a multiple of
+  8, which are sliced off the result. An unpadded float32 gemm with 1, 2, 3,
+  5, 6 or 7 output columns gives a row bits that depend on its position in
+  the blocking (OpenBLAS Haswell); with whole 8-column blocks every row takes
+  the same path, so exact permutation equivariance holds. That is a property
+  of the kernel, not of gemm, so each (inner dimension, column blocks) shape
+  is probed once against the live BLAS with a reversed and a rotated
+  operand, and a shape that fails falls back to 64-bit accumulation.
+* float32: the matmul gradients ``g b^T`` and ``a^T g`` (no invariant pins
+  gradients bit for bit), the LayerNorm row statistics (they never mix
+  points) and every elementwise op. In float32 mode GELU uses a float32
+  polynomial ``erf`` (Abramowitz & Stegun 7.1.26, absolute error below
+  1e-6); ``float64_mode`` keeps scipy's exact ``erf`` for gradient checks.
+* 64-bit accumulation: ``matmul(..., accumulate64=True)``, forward and
+  weight gradient (slice attention's sum over mesh points ``A^T x``),
+  ``sum_``/``mean_``, softmax normalisers, broadcast-gradient sums and the
+  LayerNorm ``gain``/``bias`` gradients.
 """
 
 from __future__ import annotations
@@ -474,14 +474,45 @@ def dropout(a: Tensor, rate: float, rng: Rng, training: bool) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+# (inner dimension, column blocks of 8) -> whether the padded float32 product passed the probe
+_PADDING_HOLDS: dict[tuple[int, int], bool] = {}
+
+
+def _padded_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in the storage dtype, ``b`` zero-padded to a multiple of 8 columns."""
+    c = b.shape[-1]
+    wide = np.zeros(b.shape[:-1] + (c + -c % 8,), dtype=b.dtype)
+    wide[..., :c] = b
+    return np.matmul(a, wide)[..., :c]
+
+
+def _padding_holds(k: int, blocks: int) -> bool:
+    """Probe, once per shape, whether the padded product gives a row the same bits at every position."""
+    if (k, blocks) not in _PADDING_HOLDS:
+        gen = np.random.default_rng((k, blocks))
+        a = gen.uniform(-1.0, 1.0, (67, k)).astype(np.float32)
+        b = gen.uniform(-1.0, 1.0, (k, 8 * blocks)).astype(np.float32)
+        ref = _padded_matmul(a, b)
+        perms = (np.arange(67)[::-1], np.roll(np.arange(67), 1))
+        _PADDING_HOLDS[k, blocks] = all(np.array_equal(_padded_matmul(a[p], b), ref[p]) for p in perms)
+    return _PADDING_HOLDS[k, blocks]
+
+
+def matmul(a: Tensor, b: Tensor, *, accumulate64: bool = False) -> Tensor:
+    """``a @ b``; ``accumulate64`` keeps 64-bit accumulation for a sum over mesh points."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-    data = _accum_matmul(a.data, b.data, a.data.dtype)
+    k, c = b.data.shape[-2:]
+    float32 = a.data.dtype == b.data.dtype == np.float32
+    if float32 and not accumulate64 and _padding_holds(k, -(-c // 8)):
+        data = _padded_matmul(a.data, b.data)
+    else:
+        data = _accum_matmul(a.data, b.data, a.data.dtype)
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = _accum_matmul(np.swapaxes(a.data, -1, -2), g, g.dtype)
+        at = np.swapaxes(a.data, -1, -2)
+        gb = _accum_matmul(at, g, g.dtype) if accumulate64 else np.matmul(at, g)
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return _make(data, (a, b), bwd)

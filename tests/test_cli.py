@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pgot
+from pgot import cli
 from pgot.cli import main
 from pgot.data import NormStats, normalize, read_dataset, read_manifest, read_sample, write_dataset
 from pgot.model import ModelConfig, PgotModel, load_checkpoint, save_checkpoint
@@ -85,6 +86,18 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1 and "channel counts" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("manifest, code", [(None, 2), ("missing.json", 3)], ids=["no-manifest", "missing-manifest"])
+    def test_test_split_refused_before_generating(self, tmp_path, monkeypatch, manifest, code):
+        def generate(*args):
+            raise AssertionError("samples generated before the test split was checked")
+
+        monkeypatch.setitem(cli.GENERATORS, "poisson2d", generate)
+        argv = ["gen", "--task", "poisson2d", "--samples", "200", "--split", "test", "--out", str(tmp_path / "out")]
+        if manifest:
+            argv += ["--train-manifest", str(tmp_path / manifest)]
+        assert main(argv) == code
+        assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):
         for sub in ("gen", "train", "eval", "bench", "inspect"):
@@ -309,8 +322,12 @@ class TestBench:
         for path in (out, dense):
             with open(path) as fh:
                 rows = list(csv.reader(fh))
-            assert rows[0] == ["n", "fwd_us_med", "fwd_us_min", "fwd_us_max", "fwdbwd_us_med", "peak_bytes", "config_hash"]
+            assert rows[0] == [
+                "n", "fwd_us_med", "fwd_us_min", "fwd_us_max", "fwdbwd_us_med", "peak_bytes", "live_peak_bytes",
+                "config_hash",
+            ]
             assert [r[0] for r in rows[1:]] == ["64", "128"]
+            assert all(int(r[6]) > 0 for r in rows[1:])
 
     def test_unsorted_sizes_rejected(self, tmp_path, config_path):
         assert main(["bench", "--config", str(config_path), "--sizes", "128,64", "--out", str(tmp_path / "b.csv")]) == 2
@@ -518,6 +535,7 @@ class TestNumericalFailure:
             captured = capsys.readouterr()
             assert captured.err == "numerical failure: non-finite activations after block 0\n"
             assert captured.out == ""
+        assert not (tmp_path / "dump").exists()
 
     def test_eval_huge_target_std_exit_4_with_one_line(self, tmp_path, capsys):
         # finite and positive, so the manifest is accepted, but the denormalized predictions overflow
