@@ -62,7 +62,7 @@ def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[B
 
     ``peak_bytes`` is the cumulative tensor bytes allocated by the engine
     during one forward pass (not OS-level RSS); ``live_peak_bytes`` is the
-    most bytes held at once during another forward pass (tracemalloc).
+    most bytes held at once during that same pass (tracemalloc).
     """
     if sizes != sorted(sizes):
         raise ConfigError(f"sizes must be ascending, got {sizes}")
@@ -83,9 +83,8 @@ def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[B
 
         fb_med, _, _ = _time_us(fwd_bwd, repeats)
         engine.reset_alloc_stats()
-        model.predict(a, coords)
-        peak = engine.alloc_stats()["bytes"]
         live_peak = _live_peak_bytes(lambda: model.predict(a, coords))
+        peak = engine.alloc_stats()["bytes"]
         records.append(
             BenchRecord(
                 n=n,

@@ -94,10 +94,11 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     config, _ = _load_config_file(args.config)
     records = run_bench(config, args.sizes, repeats=args.repeats)
-    out = Path(args.out)
-    write_bench_csv(records, out)
     dense_config = dataclasses.replace(config, dense_attention=True)
     dense_records = run_bench(dense_config, args.sizes, repeats=args.repeats)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_bench_csv(records, out)
     dense_out = out.with_name(out.stem + "_dense" + out.suffix)
     write_bench_csv(dense_records, dense_out)
     print(f"wrote {out} and {dense_out}")
@@ -211,6 +212,9 @@ def main(argv=None) -> int:
             return args.fn(args)
     except ConfigError as exc:
         return _fail("config error", exc, EXIT_CONFIG)
+    except MemoryError as exc:
+        # sizes are bounded, but a config inside the bounds can still need more memory than there is
+        return _fail("config error", ConfigError(f"out of memory: {exc}"), EXIT_CONFIG)
     except (DataError, MetricError, OSError) as exc:
         return _fail("data error", exc, EXIT_DATA)
     except NumericalError as exc:

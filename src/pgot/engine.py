@@ -15,15 +15,17 @@ in 64-bit, and ``float64_mode`` runs everything in 64-bit.
   of the kernel, not of gemm, so each (inner dimension, column blocks) shape
   is probed once against the live BLAS with a reversed and a rotated
   operand, and a shape that fails falls back to 64-bit accumulation.
-* float32: the matmul gradients ``g b^T`` and ``a^T g`` (no invariant pins
-  gradients bit for bit), the LayerNorm row statistics (they never mix
-  points) and every elementwise op. In float32 mode GELU uses a float32
-  polynomial ``erf`` (Abramowitz & Stegun 7.1.26, absolute error below
-  1e-6); ``float64_mode`` keeps scipy's exact ``erf`` for gradient checks.
-* 64-bit accumulation: ``matmul(..., accumulate64=True)``, forward and
-  weight gradient (slice attention's sum over mesh points ``A^T x``),
-  ``sum_``/``mean_``, softmax normalisers, broadcast-gradient sums and the
-  LayerNorm ``gain``/``bias`` gradients.
+* float32: the matmul gradients ``g b^T`` and, unless marked
+  ``accumulate64``, ``a^T g`` (no invariant pins gradients bit for bit),
+  the LayerNorm row statistics (they never mix points) and every
+  elementwise op. In float32 mode GELU uses a float32 polynomial ``erf``
+  (Abramowitz & Stegun 7.1.26, absolute error below 1e-6); ``float64_mode``
+  keeps scipy's exact ``erf`` for gradient checks.
+* 64-bit accumulation: ``matmul(..., accumulate64=True)``, that is slice
+  attention's ``A^T x``, a sum over mesh points, and its gradient ``A g``
+  with respect to ``x``, a sum over the M slices; ``sum_``/``mean_``,
+  softmax normalisers, broadcast-gradient sums and the LayerNorm
+  ``gain``/``bias`` gradients.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def parameter(data) -> Tensor:
 def _wrap(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=_DTYPE))
+    return Tensor(value)
 
 
 class Tape:
@@ -362,7 +364,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    data = _sigmoid(x).astype(x.dtype)
+    data = _sigmoid(x)
 
     def bwd(g):
         return (g * data * (1.0 - data),)
@@ -435,7 +437,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
-    data = (np.logaddexp(0.0, x)).astype(x.dtype)
+    data = np.logaddexp(0.0, x)
 
     def bwd(g):
         return (g * _sigmoid(x),)
@@ -523,7 +525,7 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
         axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    data = np.ascontiguousarray(np.transpose(a.data, axes))
+    data = np.transpose(a.data, axes)
 
     def bwd(g):
         return (np.transpose(g, inv),)
@@ -553,7 +555,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def _getitem(a: Tensor, index) -> Tensor:
-    data = np.ascontiguousarray(a.data[index])
+    data = a.data[index]
 
     def bwd(g):
         full = np.zeros_like(a.data)
@@ -593,7 +595,7 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    data = (e / _accum_sum(e, axis=axis, keepdims=True)).astype(x.data.dtype)
+    data = e / _accum_sum(e, axis=axis, keepdims=True)
 
     def bwd(g):
         inner = _accum_sum(g * data, axis=axis, keepdims=True)

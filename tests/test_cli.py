@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pgot
-from pgot import cli
+from pgot import bench, cli, engine
 from pgot.cli import main
 from pgot.data import NormStats, normalize, read_dataset, read_manifest, read_sample, write_dataset
 from pgot.model import ModelConfig, PgotModel, load_checkpoint, save_checkpoint
@@ -315,9 +315,9 @@ class TestTrainEval:
 
 class TestBench:
     def test_csv_schema_and_dense_sibling(self, tmp_path, config_path):
-        out = tmp_path / "bench.csv"
+        out = tmp_path / "new" / "sub" / "bench.csv"  # bench creates the missing directories
         assert main(["bench", "--config", str(config_path), "--sizes", "64,128", "--repeats", "3", "--out", str(out)]) == 0
-        dense = tmp_path / "bench_dense.csv"
+        dense = out.with_name("bench_dense.csv")
         assert dense.exists()
         for path in (out, dense):
             with open(path) as fh:
@@ -328,6 +328,28 @@ class TestBench:
             ]
             assert [r[0] for r in rows[1:]] == ["64", "128"]
             assert all(int(r[6]) > 0 for r in rows[1:])
+
+    def test_peak_bytes_is_one_forward_allocation(self):
+        config = ModelConfig.from_dict(DESK_CONFIG["model"])
+        sizes = [64, 128]
+        records = bench.run_bench(config, sizes, repeats=1)
+        model, rng = PgotModel(config), engine.Rng(1234)  # the fixed seed run_bench draws its clouds from
+        for n, record in zip(sizes, records):
+            a, coords = bench._random_cloud(rng, n, config.d, config.d_a)
+            engine.reset_alloc_stats()
+            model.predict(a, coords)
+            assert record.peak_bytes == engine.alloc_stats()["bytes"]
+
+    def test_out_of_memory_exit_2_with_one_line(self, tmp_path, config_path, monkeypatch, capsys):
+        def run_bench(*args, **kwargs):
+            raise MemoryError("Unable to allocate 64.0 GiB for an array with shape (1024, 4096, 4096)")
+
+        monkeypatch.setattr(cli, "run_bench", run_bench)
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--config", str(config_path), "--sizes", "4096", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unsorted_sizes_rejected(self, tmp_path, config_path):
         assert main(["bench", "--config", str(config_path), "--sizes", "128,64", "--out", str(tmp_path / "b.csv")]) == 2

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -372,6 +374,27 @@ class TestRng:
         a = Rng(42).uniform(-1, 1, (100,))
         b = Rng(42).uniform(-1, 1, (100,))
         assert np.array_equal(a, b)
+
+
+# ops whose numpy result may be a strided view or need a cast: Tensor.__init__ alone makes it C-contiguous in the storage dtype
+LAYOUT_OPS = {
+    "transpose": lambda t: engine.transpose(t, (2, 0, 1)),
+    "strided-getitem": lambda t: t[::2, :, 1::2],
+    "reshape-of-transpose": lambda t: engine.reshape(engine.transpose(t), (-1, 4)),
+    "sigmoid": engine.sigmoid,
+    "softplus": engine.softplus,
+    "softmax": lambda t: engine.softmax(t, axis=1),
+}
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64_mode"])
+@pytest.mark.parametrize("op", sorted(LAYOUT_OPS))
+def test_op_output_is_contiguous_in_the_storage_dtype(mode, op):
+    with engine.float64_mode() if mode == "float64_mode" else contextlib.nullcontext():
+        x = Tensor(np.random.default_rng(0).uniform(-3.0, 3.0, (4, 6, 8)))
+        out = LAYOUT_OPS[op](x)
+        assert out.data.dtype == engine.current_dtype()
+    assert out.data.flags.c_contiguous
 
 
 class TestAllocCounter:
