@@ -26,11 +26,17 @@ in 64-bit, and ``float64_mode`` runs everything in 64-bit.
   with respect to ``x``, a sum over the M slices; ``sum_``/``mean_``,
   softmax normalisers, broadcast-gradient sums and the LayerNorm
   ``gain``/``bias`` gradients.
+
+Importing this module tells glibc's malloc to keep freed memory in the
+process (see ``_keep_freed_memory``): a large pass then reuses the previous
+pass's pages instead of faulting them in again, and RSS stays at the run's
+high-water mark.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from typing import Callable, Optional, Sequence
 
@@ -83,6 +89,34 @@ class ParameterError(ValueError):
 
 class ContractError(RuntimeError):
     """A precondition of the autodiff contract was violated."""
+
+
+# ---------------------------------------------------------------------------
+# malloc policy
+# ---------------------------------------------------------------------------
+
+
+def _keep_freed_memory() -> None:
+    """Serve arrays up to 32 MiB from the heap and never trim it (glibc only).
+
+    glibc's default thresholds adapt so that a freed fwd+bwd tape of more than
+    a few MB goes back to the kernel, and the next pass faults every page in
+    again (about 21,600 minor faults per fwd+bwd of the default
+    ``ModelConfig`` at N=8192). Both values must be set: setting either one
+    ends the adaptation of the other. The trim threshold is a C ``int``,
+    hence ``2**31 - 1``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt (macOS, musl) or no C library handle (Windows)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD; 32 MiB is glibc's maximum on 64-bit
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +391,11 @@ def neg(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: both branches use exp(-|x|) <= 1."""
+    """Logistic function without overflow: 1/(1+e) for x >= 0, else e/(1+e), e = exp(-|x|) <= 1."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 0 <= e <= 1, so max(e, x >= 0) is 1 where x >= 0 and e elsewhere (NaN stays NaN)
+    num = np.maximum(e, x >= 0, dtype=x.dtype)
+    return np.divide(num, 1.0 + e, out=num)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -481,8 +517,10 @@ _PADDING_HOLDS: dict[tuple[int, int], bool] = {}
 
 
 def _padded_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` in the storage dtype, ``b`` zero-padded to a multiple of 8 columns."""
+    """``a @ b`` in the storage dtype, ``b`` zero-padded to a multiple of 8 columns if it has none."""
     c = b.shape[-1]
+    if c % 8 == 0:
+        return np.matmul(a, b)
     wide = np.zeros(b.shape[:-1] + (c + -c % 8,), dtype=b.dtype)
     wide[..., :c] = b
     return np.matmul(a, wide)[..., :c]
