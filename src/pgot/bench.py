@@ -33,8 +33,8 @@ class BenchRecord:
 
 
 def _random_cloud(rng: Rng, n: int, d: int, d_a: int):
-    coords = rng.uniform(0.0, 1.0, (n, d)).astype(np.float32)
-    a = rng.uniform(-1.0, 1.0, (n, d_a)).astype(np.float32)
+    coords = rng.uniform(0.0, 1.0, (n, d))
+    a = rng.uniform(-1.0, 1.0, (n, d_a))
     return a, coords
 
 

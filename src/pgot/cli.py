@@ -53,6 +53,8 @@ def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_dir} is not empty (use --force to overwrite)")
+    if args.split == "train" and args.train_manifest:
+        raise ConfigError("--train-manifest goes only with --split test; a train split computes its own stats")
     stats = None
     if args.split != "train":
         if not args.train_manifest:

@@ -4,7 +4,9 @@ Values are stored as contiguous numpy arrays in 32-bit floats. A 64-bit
 mode exists for finite-difference gradient checks (see ``float64_mode``).
 
 Precision rule: products run in float32, sums over mesh points accumulate
-in 64-bit, and ``float64_mode`` runs everything in 64-bit.
+in 64-bit, and ``float64_mode`` runs everything in 64-bit. ``float64_mode``
+changes only the precision of tensor arithmetic: random draws, generated data
+and normalized coordinates are float32 in both modes.
 
 * float32 with column padding: the matmul forward product, unless marked
   ``accumulate64``. The right operand gets zero columns up to a multiple of
@@ -53,7 +55,6 @@ __all__ = [
     "constant",
     "parameter",
     "float64_mode",
-    "current_dtype",
     "reset_alloc_stats",
     "alloc_stats",
     "matmul",
@@ -128,10 +129,6 @@ _DTYPE = np.float32
 _ALLOC = {"bytes": 0, "max_single": 0, "count": 0}
 
 
-def current_dtype():
-    return _DTYPE
-
-
 @contextlib.contextmanager
 def float64_mode():
     """Run enclosed computation in 64-bit floats (gradient-check mode)."""
@@ -176,7 +173,8 @@ class Rng:
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(_DTYPE)
+        """float32 draws in both precision modes, so ``float64_mode`` changes no generated data."""
+        return self._gen.uniform(low, high, size=shape).astype(np.float32)
 
     def integers(self, low: int, high: int, shape=None):
         return self._gen.integers(low, high, size=shape)

@@ -24,7 +24,7 @@ def normalize_coords(coords: np.ndarray) -> np.ndarray:
     flat = span == 0.0
     out = (coords - lo) / np.where(flat, 1.0, span)
     out[:, flat] = 0.5
-    return out.astype(engine.current_dtype())
+    return out.astype(np.float32)
 
 
 def pos_embed(coords_norm: np.ndarray, frequencies: int) -> np.ndarray:
@@ -41,7 +41,7 @@ def pos_embed(coords_norm: np.ndarray, frequencies: int) -> np.ndarray:
         feats.append(np.sin(angle))
         feats.append(np.cos(angle))
     feats.append(g)
-    return np.concatenate(feats, axis=1).astype(engine.current_dtype())
+    return np.concatenate(feats, axis=1)
 
 
 class GeometricEncoderBank(Module):

@@ -148,9 +148,13 @@ class PgotModel(Module):
             raise ConfigError(
                 f"input field shape {a.shape} does not match d_a={self.config.d_a}"
             )
+        coords = np.asarray(coords)
+        if a.shape[0] == 0 or coords.shape != (a.shape[0], self.config.d):
+            raise ConfigError(
+                f"coordinates {coords.shape} do not match input field {a.shape} with d={self.config.d}"
+            )
         coords_norm = normalize_coords(coords)
-        pe = self.embed(coords_norm)
-        pe_t = engine.constant(pe)
+        pe_t = engine.constant(self.embed(coords_norm))
         x = self.lift(engine.concat([engine.constant(a), pe_t], axis=1))
         for index, block in enumerate(self.blocks):
             x = block(x, coords_norm, pe_t, self._dropout_rng, self.training)
@@ -223,6 +227,5 @@ def load_checkpoint(path) -> PgotModel:
             arr = np.frombuffer(read_exact(fh, 4 * p.size, f"tensor {name}"), dtype="<f4").reshape(shape)
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"checkpoint tensor {name!r} contains NaN/Inf")
-            # astype copies, so the parameter does not view the read-only payload
-            p.data = arr.astype(engine.current_dtype())
+            p.data[...] = arr
     return model

@@ -264,6 +264,8 @@ def evaluate(model: PgotModel, samples: list[Sample], stats: NormStats) -> dict:
     The rank functional is the per-sample mean target vs mean prediction;
     Spearman is reported as None when fewer than 3 samples are given.
     """
+    if not samples:
+        raise ConfigError("evaluation requires a non-empty dataset")
     check_dims(model.config, samples)
     errors = []
     mean_true = []

@@ -87,16 +87,21 @@ class TestGen:
         assert err.startswith("data error: ") and err.count("\n") == 1 and "channel counts" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("manifest, code", [(None, 2), ("missing.json", 3)], ids=["no-manifest", "missing-manifest"])
-    def test_test_split_refused_before_generating(self, tmp_path, monkeypatch, manifest, code):
+    @pytest.mark.parametrize(
+        "split, manifest, code",
+        [("test", None, 2), ("test", "missing.json", 3), ("train", "missing.json", 2)],
+        ids=["no-manifest", "missing-manifest", "train-split-with-manifest"],
+    )
+    def test_test_split_refused_before_generating(self, tmp_path, monkeypatch, capsys, split, manifest, code):
         def generate(*args):
-            raise AssertionError("samples generated before the test split was checked")
+            raise AssertionError("samples generated before the split's manifest was checked")
 
         monkeypatch.setitem(cli.GENERATORS, "poisson2d", generate)
-        argv = ["gen", "--task", "poisson2d", "--samples", "200", "--split", "test", "--out", str(tmp_path / "out")]
+        argv = ["gen", "--task", "poisson2d", "--samples", "200", "--split", split, "--out", str(tmp_path / "out")]
         if manifest:
             argv += ["--train-manifest", str(tmp_path / manifest)]
         assert main(argv) == code
+        assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):

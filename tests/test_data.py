@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pgot import engine
 from pgot.data import (
     NormStats,
     Sample,
@@ -204,6 +205,20 @@ class TestDatasetDir:
             write_dataset(gen_poisson2d(12, 12, 2), tmp_path / name, task="poisson2d")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "generator, args",
+        [(gen_poisson2d, (7, 16, 2)), (gen_pointcloud_stress, (3, 64, 2))],
+        ids=["poisson2d", "pointcloud_stress"],
+    )
+    def test_float64_mode_changes_no_generated_byte(self, generator, args):
+        outside = generator(*args)
+        with engine.float64_mode():
+            inside = generator(*args)
+        for s1, s2 in zip(outside, inside, strict=True):
+            for field in ("coords", "input", "target"):
+                a1, a2 = getattr(s1, field), getattr(s2, field)
+                assert a1.dtype == a2.dtype and a1.tobytes() == a2.tobytes(), field
 
     def test_test_split_requires_stats(self, tmp_path):
         samples = gen_poisson2d(13, 12, 2)

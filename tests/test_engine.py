@@ -366,6 +366,15 @@ class TestBackward:
         assert a.grad.shape == a.data.shape
         assert b.grad.shape == b.data.shape
 
+    def test_output_off_the_loss_path_skipped(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            unused = engine.exp(x)  # recorded on the tape, but feeds nothing the loss uses
+            loss = engine.sum_(x * x)
+            tape.backward(loss)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert unused.grad is None
+
     def test_no_grad_leaf_untouched(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         c = Tensor([5.0, 5.0])
@@ -405,7 +414,7 @@ def test_op_output_is_contiguous_in_the_storage_dtype(mode, op):
     with engine.float64_mode() if mode == "float64_mode" else contextlib.nullcontext():
         x = Tensor(np.random.default_rng(0).uniform(-3.0, 3.0, (4, 6, 8)))
         out = LAYOUT_OPS[op](x)
-        assert out.data.dtype == engine.current_dtype()
+        assert out.data.dtype == (np.float64 if mode == "float64_mode" else np.float32)
     assert out.data.flags.c_contiguous
 
 

@@ -1,11 +1,12 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from pgot import engine
 from pgot.engine import Rng, Tape, Tensor
-from pgot.errors import ConfigError
+from pgot.errors import ConfigError, NumericalError
 from pgot.model import (
     ModelConfig,
     PgotModel,
@@ -64,6 +65,25 @@ class TestPredict:
         model = PgotModel(ModelConfig(d_a=1))
         with pytest.raises(ConfigError):
             model.predict(np.zeros((5, 3), dtype=np.float32), Rng(2).random((5, 2)))
+        # coordinates must be 2-D with the field's rows (at least one) and d columns
+        field = np.zeros((10, 1), dtype=np.float32)
+        for a, coords in [
+            (field, Rng(2).random((11, 2))),
+            (field, Rng(2).random((10, 3))),
+            (field, Rng(2).random((10,))),
+            (field[:0], np.zeros((0, 2))),
+        ]:
+            with pytest.raises(ConfigError, match=rf"{re.escape(str(coords.shape))}.*{re.escape(str(a.shape))}"):
+                model.predict(a, coords)
+
+    def test_non_finite_decoder_output_raises(self):
+        model = PgotModel(ModelConfig())
+        for layer in (model.decoder.fc1, model.decoder.fc2):
+            layer.w.data *= 1e20  # finite weights; the hidden units near 1e20 times them overflow float32
+        a, g = random_sample(Rng(3))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="decoder") as exc:
+            model.predict(a, g)
+        assert exc.value.layer == len(model.blocks)
 
     def test_determinism(self):
         a, g = random_sample(Rng(3))

@@ -46,6 +46,10 @@ class TestRelativeL2:
         with pytest.raises(MetricError):
             relative_l2(np.zeros(3), np.ones(3))
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match=r"\(4,\) vs \(3,\)"):
+            relative_l2(np.ones((2, 2)), np.ones(3))
+
     def test_matches_naive_oracle(self):
         rng = Rng(1)
         for _ in range(1000):
@@ -77,6 +81,10 @@ class TestSpearman:
     def test_too_few_values(self):
         with pytest.raises(MetricError):
             spearman(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match=r"\(4,\) vs \(3,\)"):
+            spearman(np.arange(4.0), np.arange(3.0))
 
     def test_all_tied_rejected(self):
         with pytest.raises(MetricError):
@@ -296,10 +304,20 @@ class TestTrainLoop:
             final_vs_first.append(report.epoch_losses[-1] < report.epoch_losses[0])
         assert all(final_vs_first)
 
+    def test_non_finite_loss_raises(self, small_dataset, monkeypatch):
+        samples, stats = small_dataset
+        predict = PgotModel.predict
+        # finite predictions near 1e20: their squares overflow float32, so the loss is inf
+        monkeypatch.setattr(PgotModel, "predict", lambda self, a, coords: predict(self, a, coords) * 1e20)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite at step 0"):
+            train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, steps=2)
+
     def test_empty_dataset_rejected(self, small_dataset):
         _, stats = small_dataset
         with pytest.raises(ConfigError):
             train(ModelConfig(), [], stats, steps=1)
+        with pytest.raises(ConfigError, match="non-empty"):
+            evaluate(PgotModel(ModelConfig()), [], stats)
 
     @pytest.mark.parametrize(
         "option",

@@ -1,0 +1,119 @@
+"""Print one ``name hash`` line per pgot output, so two versions of the code can be diffed.
+
+Each output is computed in float32 mode (``f32/`` names) and inside
+``engine.float64_mode`` (``f64/`` names):
+
+* ``gen.*``: the samples of ``gen_poisson2d(7, 16, 2)`` and ``gen_pointcloud_stress(3, 64, 2)``;
+* ``init.seed5``: every parameter of a seed-5 default model;
+* ``bench.random_cloud.N<n>``: ``bench._random_cloud`` from bench's fixed seed;
+* ``fwdbwd.<config>.N<n>``: the predictions and every parameter gradient of two
+  fwd+bwd passes, for the default config, a ``d_a=2, d_u=3, slices=5`` config, and a
+  ``dropout=0.3, gate_force="half"`` config in training mode;
+* ``train.checkpoint`` and ``train.report``: a 24-step ``train`` on the Poisson samples
+  (the report without ``wall_time_s``);
+* ``load.checkpoint``: the parameters ``load_checkpoint`` gives for that checkpoint.
+
+A hash is the first 16 hex digits of a SHA-256 over each array's dtype, shape and
+bytes; a missing gradient is hashed as an empty array. Run it with each version's
+``src`` on ``PYTHONPATH`` and diff the outputs:
+
+    PYTHONPATH=src python3 tools/output_hashes.py > new.txt
+    PYTHONPATH=../parent/src python3 tools/output_hashes.py > old.txt
+    diff old.txt new.txt
+
+``--sizes`` picks the mesh sizes (default 37,1023,8192).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from pgot import bench, engine
+from pgot.data import compute_stats, gen_pointcloud_stress, gen_poisson2d
+from pgot.engine import Rng, Tape
+from pgot.model import ModelConfig, PgotModel, load_checkpoint
+from pgot.training import relative_l2_loss, train
+
+CONFIGS = {
+    "desk": (ModelConfig(), False),
+    "wide_io": (ModelConfig(d_a=2, d_u=3, slices=5), False),
+    "dropout_half_gate": (ModelConfig(dropout=0.3, gate_force="half"), True),
+}
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(np.empty(0) if arr is None else arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+def sample_arrays(samples):
+    return [arr for s in samples for arr in (s.coords, s.input, s.target)]
+
+
+def cloud(n: int, config: ModelConfig):
+    """Inputs drawn with numpy's own generator, so they do not depend on pgot."""
+    gen = np.random.default_rng(n)
+    coords = gen.uniform(0.0, 1.0, (n, config.d)).astype(np.float32)
+    a = gen.uniform(-1.0, 1.0, (n, config.d_a)).astype(np.float32)
+    target = np.sin(3.0 * coords[:, :1]) + np.zeros((1, config.d_u), dtype=np.float32)
+    return a, coords, target
+
+
+def fwdbwd(config: ModelConfig, training: bool, n: int) -> str:
+    model = PgotModel(config)
+    model.training = training
+    a, coords, target = cloud(n, config)
+    arrays = []
+    for _ in range(2):
+        with Tape() as tape:
+            pred = model.predict(a, coords)
+            tape.backward(relative_l2_loss(pred, target))
+        arrays.append(pred.data)
+        arrays.extend(p.grad for _, p in model.parameters())
+        model.zero_grad()
+    return digest(*arrays)
+
+
+def hashes(sizes: list[int], workdir: Path):
+    poisson = gen_poisson2d(7, 16, 2)
+    yield "gen.poisson2d", digest(*sample_arrays(poisson))
+    yield "gen.pointcloud_stress", digest(*sample_arrays(gen_pointcloud_stress(3, 64, 2)))
+    yield "init.seed5", digest(*(p.data for _, p in PgotModel(ModelConfig(seed=5)).parameters()))
+    for n in sizes:
+        yield f"bench.random_cloud.N{n}", digest(*bench._random_cloud(Rng(1234), n, 2, 1))
+    for name, (config, training) in CONFIGS.items():
+        for n in sizes:
+            yield f"fwdbwd.{name}.N{n}", fwdbwd(config, training, n)
+    ckpt = workdir / "checkpoint.pgck"
+    _, report = train(ModelConfig(), poisson, compute_stats(poisson), steps=24, checkpoint_path=ckpt)
+    yield "train.checkpoint", digest(np.frombuffer(ckpt.read_bytes(), dtype=np.uint8))
+    fields = {k: v for k, v in report.to_dict().items() if k != "wall_time_s"}
+    yield "train.report", digest(np.frombuffer(json.dumps(fields, sort_keys=True).encode(), dtype=np.uint8))
+    yield "load.checkpoint", digest(*(p.data for _, p in load_checkpoint(ckpt).parameters()))
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--sizes", default="37,1023,8192", help="comma-separated mesh sizes")
+    args = parser.parse_args(argv)
+    sizes = [int(s) for s in args.sizes.split(",")]
+    with tempfile.TemporaryDirectory() as tmp:
+        for prefix, mode in (("f32", contextlib.nullcontext), ("f64", engine.float64_mode)):
+            with mode():
+                for name, value in hashes(sizes, Path(tmp)):
+                    print(f"{prefix}/{name} {value}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
