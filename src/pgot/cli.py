@@ -53,16 +53,12 @@ def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_dir} is not empty (use --force to overwrite)")
-    if args.split == "train" and args.train_manifest:
-        raise ConfigError("--train-manifest goes only with --split test; a train split computes its own stats")
     stats = None
-    if args.split != "train":
-        if not args.train_manifest:
-            raise ConfigError("test splits need --train-manifest for normalization stats")
+    if args.train_manifest:
         stats = NormStats.from_dict(read_manifest(args.train_manifest)["normalization"])
     size = args.resolution if args.task == "poisson2d" else args.points
     samples = GENERATORS[args.task](args.seed, size, args.samples)
-    manifest = write_dataset(samples, out_dir, task=args.task, split=args.split, stats=stats)
+    manifest = write_dataset(samples, out_dir, task=args.task, stats=stats)
     n = samples[0].coords.shape[0]
     print(f"wrote {manifest['count']} {args.task} samples ({n} points each) to {out_dir}")
     return EXIT_OK
@@ -158,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=256, help="point count for pointcloud_stress")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="train", choices=["train", "test"])
-    p.add_argument("--train-manifest", help="train manifest supplying stats for a test split")
+    p.add_argument("--train-manifest", help="write a test split, normalized with this train manifest's stats")
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_gen)
 

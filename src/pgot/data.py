@@ -277,18 +277,18 @@ def read_sample(path, meta: dict | None = None) -> Sample:
     return Sample(coords.copy(), inputs.copy(), target.copy(), meta=dict(meta or {})).validate()
 
 
-def write_dataset(samples: list[Sample], out_dir, task: str, split: str = "train", stats: NormStats | None = None) -> dict:
+def write_dataset(samples: list[Sample], out_dir, task: str, stats: NormStats | None = None) -> dict:
     """Write one PGDS file per sample plus the split manifest.
 
-    Train splits compute their own normalization statistics; test splits
-    must be handed the train statistics. A sample whose channel counts differ
-    from the statistics is refused before anything is created.
+    With no ``stats`` this is a train split, which computes its own
+    normalization statistics; given the train split's ``stats``, a test split.
+    A sample whose channel counts differ from the statistics is refused
+    before anything is created.
     """
     out_dir = Path(out_dir)
-    if split == "train":
+    split = "train" if stats is None else "test"
+    if stats is None:
         stats = compute_stats(samples)
-    elif stats is None:
-        raise DataError("non-train split requires normalization stats from the train split")
     for i, sample in enumerate(samples):
         stats.check_channels(sample, f"sample {i}")
     out_dir.mkdir(parents=True, exist_ok=True)

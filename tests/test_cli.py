@@ -79,7 +79,7 @@ class TestGen:
     def test_test_split_with_other_channel_counts_exit_3(self, tmp_path, capsys):
         train = run_gen(tmp_path)
         out = tmp_path / "test"
-        argv = ["gen", "--task", "pointcloud_stress", "--samples", "1", "--split", "test",
+        argv = ["gen", "--task", "pointcloud_stress", "--samples", "1",
                 "--train-manifest", str(train / "manifest.json"), "--out", str(out)]
         capsys.readouterr()
         assert main(argv) == 3
@@ -87,19 +87,14 @@ class TestGen:
         assert err.startswith("data error: ") and err.count("\n") == 1 and "channel counts" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "split, manifest, code",
-        [("test", None, 2), ("test", "missing.json", 3), ("train", "missing.json", 2)],
-        ids=["no-manifest", "missing-manifest", "train-split-with-manifest"],
-    )
-    def test_test_split_refused_before_generating(self, tmp_path, monkeypatch, capsys, split, manifest, code):
+    @pytest.mark.parametrize("manifest, code", [("missing.json", 3)], ids=["missing-manifest"])
+    def test_test_split_refused_before_generating(self, tmp_path, monkeypatch, capsys, manifest, code):
         def generate(*args):
             raise AssertionError("samples generated before the split's manifest was checked")
 
         monkeypatch.setitem(cli.GENERATORS, "poisson2d", generate)
-        argv = ["gen", "--task", "poisson2d", "--samples", "200", "--split", split, "--out", str(tmp_path / "out")]
-        if manifest:
-            argv += ["--train-manifest", str(tmp_path / manifest)]
+        argv = ["gen", "--task", "poisson2d", "--samples", "200", "--out", str(tmp_path / "out"),
+                "--train-manifest", str(tmp_path / manifest)]
         assert main(argv) == code
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
@@ -125,7 +120,8 @@ USAGE_ERRORS = {
     "seed-2**128": GEN_ARGS + ["--seed", str(2**128)],
     "resolution-1000": GEN_ARGS + ["--resolution", "1000"],
     "points-5": GEN_ARGS + ["--points", "5"],
-    "test-split-without-train-manifest": GEN_ARGS + ["--split", "test"],
+    # the split follows from --train-manifest alone; the old flag is an unknown argument
+    "split-flag-removed": GEN_ARGS + ["--split", "test"],
     # argparse joins the stray arguments into its message, and the config error names the path as given
     "stray-argument-newline": ["eval", "--checkpoint", "a", "--data", "b", "x\ny"],
     "config-path-newline": ["bench", "--config", "no\nfile", "--sizes", "64", "--out", "b.csv"],
@@ -139,6 +135,7 @@ def test_usage_error_exit_2_with_one_line(tmp_path, monkeypatch, capsys, case):
     assert main(USAGE_ERRORS[case]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1 and "\r" not in captured.err
+    assert case != "split-flag-removed" or "unrecognized arguments: --split test" in captured.err
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 

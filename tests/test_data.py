@@ -220,19 +220,13 @@ class TestDatasetDir:
                 a1, a2 = getattr(s1, field), getattr(s2, field)
                 assert a1.dtype == a2.dtype and a1.tobytes() == a2.tobytes(), field
 
-    def test_test_split_requires_stats(self, tmp_path):
-        samples = gen_poisson2d(13, 12, 2)
-        with pytest.raises(DataError):
-            write_dataset(samples, tmp_path / "ds", task="poisson2d", split="test")
-
     def test_test_split_uses_train_stats(self, tmp_path):
         train_samples = gen_poisson2d(14, 12, 4)
         train_manifest = write_dataset(train_samples, tmp_path / "train", task="poisson2d")
         test_samples = gen_poisson2d(15, 12, 2)
         stats = NormStats.from_dict(train_manifest["normalization"])
-        test_manifest = write_dataset(
-            test_samples, tmp_path / "test", task="poisson2d", split="test", stats=stats
-        )
+        test_manifest = write_dataset(test_samples, tmp_path / "test", task="poisson2d", stats=stats)
+        assert test_manifest["split"] == "test"
         assert test_manifest["normalization"] == train_manifest["normalization"]
 
     def test_missing_manifest(self, tmp_path):

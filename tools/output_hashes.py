@@ -4,6 +4,8 @@ Each output is computed in float32 mode (``f32/`` names) and inside
 ``engine.float64_mode`` (``f64/`` names):
 
 * ``gen.*``: the samples of ``gen_poisson2d(7, 16, 2)`` and ``gen_pointcloud_stress(3, 64, 2)``;
+* ``dataset.train``: every file ``write_dataset`` writes for those Poisson samples, in
+  sorted name order;
 * ``init.seed5``: every parameter of a seed-5 default model;
 * ``bench.random_cloud.N<n>``: ``bench._random_cloud`` from bench's fixed seed;
 * ``fwdbwd.<config>.N<n>``: the predictions and every parameter gradient of two
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from pgot import bench, engine
-from pgot.data import compute_stats, gen_pointcloud_stress, gen_poisson2d
+from pgot.data import compute_stats, gen_pointcloud_stress, gen_poisson2d, write_dataset
 from pgot.engine import Rng, Tape
 from pgot.model import ModelConfig, PgotModel, load_checkpoint
 from pgot.training import relative_l2_loss, train
@@ -89,6 +91,9 @@ def hashes(sizes: list[int], workdir: Path):
     poisson = gen_poisson2d(7, 16, 2)
     yield "gen.poisson2d", digest(*sample_arrays(poisson))
     yield "gen.pointcloud_stress", digest(*sample_arrays(gen_pointcloud_stress(3, 64, 2)))
+    write_dataset(poisson, workdir / "dataset", task="poisson2d")
+    files = sorted((workdir / "dataset").iterdir())
+    yield "dataset.train", digest(*(np.frombuffer(f.read_bytes(), dtype=np.uint8) for f in files))
     yield "init.seed5", digest(*(p.data for _, p in PgotModel(ModelConfig(seed=5)).parameters()))
     for n in sizes:
         yield f"bench.random_cloud.N{n}", digest(*bench._random_cloud(Rng(1234), n, 2, 1))
