@@ -1,4 +1,4 @@
-"""Efficiency benchmarking: wall time and allocated bytes versus mesh size."""
+"""Efficiency benchmarking: wall time and peak traced bytes versus mesh size."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import engine
 from .engine import Rng, Tape
 from .errors import ConfigError
 from .model import ModelConfig, PgotModel
@@ -24,7 +23,6 @@ class BenchRecord:
     fwd_us_max: float
     fwdbwd_us_med: float
     peak_bytes: int
-    live_peak_bytes: int
     config_hash: str
 
     def row(self) -> list:
@@ -47,7 +45,7 @@ def _time_us(fn, repeats: int) -> tuple[float, float, float]:
     return float(np.median(times)), float(min(times)), float(max(times))
 
 
-def _live_peak_bytes(fn) -> int:
+def _traced_peak_bytes(fn) -> int:
     """The most bytes ``fn`` holds at once, as tracemalloc sees them."""
     tracemalloc.start()
     try:
@@ -60,9 +58,8 @@ def _live_peak_bytes(fn) -> int:
 def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[BenchRecord]:
     """One record per mesh size N for the given configuration.
 
-    ``peak_bytes`` is the cumulative tensor bytes allocated by the engine
-    during one forward pass (not OS-level RSS); ``live_peak_bytes`` is the
-    most bytes held at once during that same pass (tracemalloc).
+    ``peak_bytes`` is the most bytes held at once during one forward pass,
+    as tracemalloc sees them (not OS-level RSS).
     """
     if sizes != sorted(sizes):
         raise ConfigError(f"sizes must be ascending, got {sizes}")
@@ -82,9 +79,6 @@ def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[B
             model.zero_grad()
 
         fb_med, _, _ = _time_us(fwd_bwd, repeats)
-        engine.reset_alloc_stats()
-        live_peak = _live_peak_bytes(lambda: model.predict(a, coords))
-        peak = engine.alloc_stats()["bytes"]
         records.append(
             BenchRecord(
                 n=n,
@@ -92,8 +86,7 @@ def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[B
                 fwd_us_min=lo,
                 fwd_us_max=hi,
                 fwdbwd_us_med=fb_med,
-                peak_bytes=peak,
-                live_peak_bytes=live_peak,
+                peak_bytes=_traced_peak_bytes(lambda: model.predict(a, coords)),
                 config_hash=config.hash(),
             )
         )

@@ -51,8 +51,8 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
 
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
-        raise ConfigError(f"output directory {out_dir} is not empty (use --force to overwrite)")
+    if out_dir.exists() and any(out_dir.iterdir()):
+        raise ConfigError(f"output directory {out_dir} is not empty")
     stats = None
     if args.train_manifest:
         stats = NormStats.from_dict(read_manifest(args.train_manifest)["normalization"])
@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--train-manifest", help="write a test split, normalized with this train manifest's stats")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a model from a JSON config")

@@ -251,9 +251,10 @@ def write_u32(fh, *values: int) -> None:
 def read_exact(fh, n: int, what: str) -> bytes:
     # checked against the bytes left before reading: a corrupt size field can
     # ask for more than fits in memory or in an index
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
     if n > left:
-        raise TruncatedError(f"truncated payload reading {what}: expected {n} bytes, got {left}")
+        raise TruncatedError(f"truncated payload reading {what} at byte {offset}: expected {n} bytes, got {left}")
     return fh.read(n)
 
 

@@ -209,8 +209,9 @@ def train(
     """Step-based training on the relative-L2 loss with cosine lr decay.
 
     One step is one optimizer update on one sample, cycling through the
-    train set. Each epoch ends with an evaluation on the train set; the
-    checkpoint is written at the best one, and the report gives the last.
+    train set. With a ``checkpoint_path``, each epoch ends with an evaluation
+    on the train set and the checkpoint is written at the best one; without
+    one, only the last step is evaluated. The report gives the last.
     """
     if not samples:
         raise ConfigError("training requires a non-empty dataset")
@@ -233,7 +234,7 @@ def train(
             loss = relative_l2_loss(pred, u_norm)
             value = loss.item()
             if not math.isfinite(value):
-                raise NumericalError(f"loss became non-finite at step {step}")
+                raise NumericalError(f"loss became non-finite at step {step}, on sample {step % n}")
             tape.backward(loss)
         clip_grad_norm(opt.params, clip_norm)
         opt.step(lr=cosine_lr(step, steps, lr))
@@ -242,17 +243,18 @@ def train(
         if (step + 1) % n == 0 or step == steps - 1:
             report.epoch_losses.append(float(np.mean(epoch_losses)))
             epoch_losses = []
+        # an evaluation only picks which epoch the checkpoint holds, so without one only the last is needed
+        if step == steps - 1 or (checkpoint_path is not None and (step + 1) % n == 0):
             model.training = False
             metrics = evaluate(model, samples, stats)
             model.training = True
-            if metrics["rel_l2"] < best_eval:
+            if checkpoint_path is not None and metrics["rel_l2"] < best_eval:
                 best_eval = metrics["rel_l2"]
-                if checkpoint_path is not None:
-                    save_checkpoint(model, checkpoint_path)
+                save_checkpoint(model, checkpoint_path)
     model.training = False
     report.peak_alloc_bytes = engine.alloc_stats()["bytes"]
     report.wall_time_s = time.perf_counter() - start
-    # the last step always ends an epoch, so `metrics` evaluates the final parameters
+    # the last step is always evaluated, so `metrics` holds the final parameters' scores
     report.final_train_rel_l2 = metrics["rel_l2"]
     report.eval_spearman = metrics["spearman"]
     return model, report

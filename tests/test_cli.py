@@ -70,11 +70,16 @@ class TestGen:
     def test_zero_samples_usage_error(self, tmp_path):
         assert main(["gen", "--task", "poisson2d", "--samples", "0", "--out", str(tmp_path / "x")]) == 2
 
-    def test_refuses_nonempty_dir_without_force(self, tmp_path):
+    def test_refuses_nonempty_dir(self, tmp_path, capsys):
         out = run_gen(tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         argv = ["gen", "--task", "poisson2d", "--samples", "1", "--out", str(out)]
+        capsys.readouterr()
         assert main(argv) == 2
-        assert main(argv + ["--force"]) == 0
+        assert capsys.readouterr().err == f"config error: output directory {out} is not empty\n"
+        assert main(argv + ["--force"]) == 2
+        assert capsys.readouterr().err == "config error: pgot: unrecognized arguments: --force\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_test_split_with_other_channel_counts_exit_3(self, tmp_path, capsys):
         train = run_gen(tmp_path)
@@ -325,22 +330,25 @@ class TestBench:
             with open(path) as fh:
                 rows = list(csv.reader(fh))
             assert rows[0] == [
-                "n", "fwd_us_med", "fwd_us_min", "fwd_us_max", "fwdbwd_us_med", "peak_bytes", "live_peak_bytes",
-                "config_hash",
+                "n", "fwd_us_med", "fwd_us_min", "fwd_us_max", "fwdbwd_us_med", "peak_bytes", "config_hash",
             ]
             assert [r[0] for r in rows[1:]] == ["64", "128"]
-            assert all(int(r[6]) > 0 for r in rows[1:])
+            assert all(int(r[5]) > 0 for r in rows[1:])
 
-    def test_peak_bytes_is_one_forward_allocation(self):
+    def test_peak_bytes_is_one_forward_peak(self):
         config = ModelConfig.from_dict(DESK_CONFIG["model"])
         sizes = [64, 128]
         records = bench.run_bench(config, sizes, repeats=1)
         model, rng = PgotModel(config), engine.Rng(1234)  # the fixed seed run_bench draws its clouds from
         for n, record in zip(sizes, records):
             a, coords = bench._random_cloud(rng, n, config.d, config.d_a)
+            model.predict(a, coords)  # warm, as run_bench's traced pass is
             engine.reset_alloc_stats()
-            model.predict(a, coords)
-            assert record.peak_bytes == engine.alloc_stats()["bytes"]
+            peak = bench._traced_peak_bytes(lambda: model.predict(a, coords))
+            # not bit-exact: repeated passes spread by about 100 B
+            assert abs(record.peak_bytes - peak) <= 1024
+            # a peak, not the sum of the pass's allocations
+            assert record.peak_bytes < engine.alloc_stats()["bytes"]
 
     def test_out_of_memory_exit_2_with_one_line(self, tmp_path, config_path, monkeypatch, capsys):
         def run_bench(*args, **kwargs):

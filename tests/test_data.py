@@ -161,6 +161,16 @@ class TestFormat:
             if isinstance(err.value, TruncatedError):
                 assert "expected" in str(err.value)
 
+    def test_truncation_names_the_offset(self, tmp_path):
+        path = tmp_path / "s.pgds"
+        sample = self.make_sample()
+        write_sample(sample, path)
+        path.write_bytes(path.read_bytes()[:24 + 5])  # magic, version and the four-field header, then 5 bytes
+        n, d = sample.coords.shape
+        message = f"^truncated payload reading coords at byte 24: expected {4 * n * d} bytes, got 5$"
+        with pytest.raises(TruncatedError, match=message):
+            read_sample(path)
+
     def test_header_larger_than_any_file(self, tmp_path):
         path = tmp_path / "s.pgds"
         write_sample(self.make_sample(), path)

@@ -11,6 +11,7 @@ import json
 import math
 import shutil
 import struct
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -200,8 +201,9 @@ def test_gen_flags(argv_files, data):
         "--points": st.integers(64, 80),
         "--seed": st.sampled_from([0, 2**128 - 1]),
     }
-    argv = ["gen", "--task", task, "--out", str(argv_files / "gen"), "--force"]
-    check_argv(data, argv, {flag: valid.map(str) for flag, valid in flags.items()})
+    with tempfile.TemporaryDirectory(dir=argv_files) as out:  # gen refuses a directory that holds anything
+        argv = ["gen", "--task", task, "--out", out]
+        check_argv(data, argv, {flag: valid.map(str) for flag, valid in flags.items()})
 
 
 @ARGV_FUZZ
@@ -302,4 +304,5 @@ def test_damaged_manifest(files, data):
     path.write_text(data.draw(damaged_manifest(manifest)))
     check_cli(["eval", "--checkpoint", str(files / "m.pgck"), "--data", str(path.parent)])
     gen = ["gen", "--task", "poisson2d", "--samples", "1", "--resolution", "8"]
-    check_cli(gen + ["--train-manifest", str(path), "--out", str(files / "test"), "--force"])
+    with tempfile.TemporaryDirectory(dir=files) as out:
+        check_cli(gen + ["--train-manifest", str(path), "--out", out])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -306,11 +307,13 @@ class TestTrainLoop:
 
     def test_non_finite_loss_raises(self, small_dataset, monkeypatch):
         samples, stats = small_dataset
-        predict = PgotModel.predict
-        # finite predictions near 1e20: their squares overflow float32, so the loss is inf
-        monkeypatch.setattr(PgotModel, "predict", lambda self, a, coords: predict(self, a, coords) * 1e20)
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite at step 0"):
-            train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, steps=2)
+        predict, calls = PgotModel.predict, itertools.count()
+        # finite predictions near 1e20 at step 5 of 4 samples: their squares overflow float32, so the loss is inf
+        monkeypatch.setattr(
+            PgotModel, "predict", lambda self, a, coords: predict(self, a, coords) * (1e20 if next(calls) == 5 else 1.0)
+        )
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite at step 5, on sample 1$"):
+            train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, steps=8)
 
     def test_empty_dataset_rejected(self, small_dataset):
         _, stats = small_dataset
@@ -335,13 +338,22 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match=next(iter(option))):
             train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, **option)
 
-    @pytest.mark.parametrize("steps", [1, 3, 4, 9])
-    def test_one_evaluation_per_epoch(self, small_dataset, monkeypatch, steps):
+    # with a checkpoint path, one evaluation per epoch picks the best epoch; without one, only the last counts
+    @pytest.mark.parametrize(
+        "steps,checkpoint",
+        [
+            pytest.param(steps, checkpoint, id=str(steps) if checkpoint else f"{steps}-no-checkpoint")
+            for checkpoint in (True, False)
+            for steps in (1, 3, 4, 9)
+        ],
+    )
+    def test_one_evaluation_per_epoch(self, small_dataset, monkeypatch, tmp_path, steps, checkpoint):
         samples, stats = small_dataset
         calls = []
         monkeypatch.setattr(training, "evaluate", lambda *args: calls.append(1) or evaluate(*args))
-        train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, steps=steps)
-        assert len(calls) == math.ceil(steps / len(samples))
+        path = tmp_path / "best.pgck" if checkpoint else None
+        train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, steps=steps, checkpoint_path=path)
+        assert len(calls) == (math.ceil(steps / len(samples)) if checkpoint else 1)
 
     @pytest.mark.parametrize("field", ["d", "d_a", "d_u"])
     def test_dimension_mismatch_rejected_before_any_step(self, small_dataset, monkeypatch, field):
