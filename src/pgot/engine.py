@@ -29,6 +29,11 @@ and normalized coordinates are float32 in both modes.
   softmax normalisers, broadcast-gradient sums and the LayerNorm
   ``gain``/``bias`` gradients.
 
+The tape holds gradient nodes, not tensors: each recorded op output gets a
+``_Node`` with only its pending gradient and dtype, and each backward
+closure keeps only the arrays it reads (shapes and dtypes for the rest). An
+op output that no backward reads is freed with its caller's last reference.
+
 Importing this module tells glibc's malloc to keep freed memory in the
 process (see ``_keep_freed_memory``): a large pass then reuses the previous
 pass's pages instead of faulting them in again, and RSS stays at the run's
@@ -191,11 +196,13 @@ class Rng:
 class Tensor:
     """Dense row-major array, immutable after creation by convention.
 
-    ``grad`` is populated by ``backward`` for every tensor that requires
-    gradients. Optimizers mutate leaf ``data`` in place between tapes.
+    ``grad`` is populated by ``backward`` for every leaf that requires
+    gradients (a parameter); an op output's gradient lives on its tape node
+    and is dropped once consumed. Optimizers mutate leaf ``data`` in place
+    between tapes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=_DTYPE))
@@ -203,6 +210,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._tape: Optional["Tape"] = None
+        self._node: Optional["_Node"] = None  # set when a tape records this tensor as an op output
         _ALLOC["bytes"] += arr.nbytes
         _ALLOC["count"] += 1
         if arr.nbytes > _ALLOC["max_single"]:
@@ -215,6 +223,10 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -250,8 +262,25 @@ def _wrap(value) -> Tensor:
     return Tensor(value)
 
 
+class _Node:
+    """Gradient slot of one recorded op output: its pending ``grad`` and its dtype."""
+
+    __slots__ = ("grad", "dtype")
+
+    def __init__(self, dtype):
+        self.grad: Optional[np.ndarray] = None
+        self.dtype = dtype
+
+
 class Tape:
     """Ordered record of operations for one forward pass.
+
+    A record is ``(out node, parent nodes, backward_fn)``; it holds gradient
+    nodes, never the op's output or input tensors, and the closures keep
+    only the arrays their backward reads. A leaf that requires a gradient
+    (a parameter) is its own node, so its ``.grad`` is filled in place; a
+    parent that requires none is ``None``. Nodes refer to nothing, so tape,
+    nodes and tensors form no reference cycle.
 
     Records are appended in execution order, so a single reverse sweep is
     a valid reverse-topological traversal.
@@ -260,7 +289,7 @@ class Tape:
     current: Optional["Tape"] = None
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._records: list[tuple[_Node, tuple, Callable]] = []
 
     def __enter__(self):
         self._outer = Tape.current
@@ -272,14 +301,16 @@ class Tape:
         return False
 
     def record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable):
-        self._records.append((out, parents, backward_fn))
+        node = out._node = _Node(out.data.dtype)
+        nodes = tuple([p._node or (p if p.requires_grad else None) for p in parents])
+        self._records.append((node, nodes, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         if loss.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         if loss._tape is not self:
             raise ContractError("loss was not recorded on this tape")
-        loss.grad = np.ones_like(loss.data)
+        loss._node.grad = np.ones_like(loss.data)
         for i in range(len(self._records) - 1, -1, -1):
             out, parents, backward_fn = self._records[i]
             # every consumer of `out` sits later on the tape, so its grad is
@@ -290,10 +321,10 @@ class Tape:
             grads = backward_fn(out.grad)
             out.grad = None
             for parent, g in zip(parents, grads):
-                if g is None or not parent.requires_grad:
+                if g is None or parent is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.ascontiguousarray(g, dtype=parent.data.dtype)
+                    parent.grad = np.ascontiguousarray(g, dtype=parent.dtype)
                 else:
                     parent.grad = parent.grad + g
         self._records.clear()
@@ -344,42 +375,40 @@ def _accum_matmul(a: np.ndarray, b: np.ndarray, out_dtype) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _make(data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    x, y = a.data, b.data
+    data = x * y
 
     def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return _make(data, (a, b), bwd)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
+    x, y = a.data, b.data
+    data = x / y
 
     def bwd(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
+        return _unbroadcast(g / y, x.shape), _unbroadcast(-g * x / (y * y), y.shape)
 
     return _make(data, (a, b), bwd)
 
@@ -540,18 +569,24 @@ def matmul(a: Tensor, b: Tensor, *, accumulate64: bool = False) -> Tensor:
     """``a @ b``; ``accumulate64`` keeps 64-bit accumulation for a sum over mesh points."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-    k, c = b.data.shape[-2:]
-    float32 = a.data.dtype == b.data.dtype == np.float32
+    x, w = a.data, b.data
+    k, c = w.shape[-2:]
+    float32 = x.dtype == w.dtype == np.float32
     if float32 and not accumulate64 and _padding_holds(k, -(-c // 8)):
-        data = _padded_matmul(a.data, b.data)
+        data = _padded_matmul(x, w)
     else:
-        data = _accum_matmul(a.data, b.data, a.data.dtype)
+        data = _accum_matmul(x, w, x.dtype)
+    # a gradient nobody receives (a constant operand's) is not computed
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        at = np.swapaxes(a.data, -1, -2)
-        gb = _accum_matmul(at, g, g.dtype) if accumulate64 else np.matmul(at, g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(w, -1, -2)), x.shape)
+        if need_b:
+            xt = np.swapaxes(x, -1, -2)
+            gb = _unbroadcast(_accum_matmul(xt, g, g.dtype) if accumulate64 else np.matmul(xt, g), w.shape)
+        return ga, gb
 
     return _make(data, (a, b), bwd)
 
@@ -592,9 +627,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def _getitem(a: Tensor, index) -> Tensor:
     data = a.data[index]
+    shape, dtype = a.data.shape, a.data.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         np.add.at(full, index, g)
         return (full,)
 
@@ -608,11 +644,12 @@ def _getitem(a: Tensor, index) -> Tensor:
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = _accum_sum(a.data, axis=axis, keepdims=keepdims)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype),)
+        return (np.broadcast_to(g, shape).astype(dtype),)
 
     return _make(data, (a,), bwd)
 
@@ -653,12 +690,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv = np.sqrt(var, out=var)
     np.reciprocal(inv, out=inv)
     xhat *= inv
-    data = xhat * gain.data + bias.data
+    w = gain.data
+    data = xhat * w + bias.data
 
     def bwd(g):
         dgain = _accum_sum(g * xhat, axis=tuple(range(g.ndim - 1)), keepdims=False)
         dbias = _accum_sum(g, axis=tuple(range(g.ndim - 1)), keepdims=False)
-        dxhat = g * gain.data
+        dxhat = g * w
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
         dx -= xhat * m2

@@ -1,5 +1,8 @@
 import contextlib
 import ctypes
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -435,13 +438,11 @@ def _has_mallopt() -> bool:
         return False
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
-def test_second_large_pass_reuses_freed_memory():
-    import resource
-
+def _default_fwd_bwd(n: int):
+    """One taped fwd+bwd of the default config on a fixed n-point cloud, as a function."""
     gen = np.random.default_rng(0)
-    coords = gen.uniform(0.0, 1.0, (2048, 2))
-    field = gen.uniform(-1.0, 1.0, (2048, 1))
+    coords = gen.uniform(0.0, 1.0, (n, 2))
+    field = gen.uniform(-1.0, 1.0, (n, 1))
     model = PgotModel(ModelConfig())
 
     def fwd_bwd():
@@ -449,8 +450,152 @@ def test_second_large_pass_reuses_freed_memory():
             tape.backward(relative_l2_loss(model.predict(field, coords), np.sin(coords[:, :1])))
         model.zero_grad()
 
+    return fwd_bwd
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_second_large_pass_reuses_freed_memory():
+    import resource
+
+    fwd_bwd = _default_fwd_bwd(2048)
     fwd_bwd()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     fwd_bwd()
     # with glibc's default thresholds the freed tape goes back to the kernel: about 6,800 faults here
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
+def test_fwdbwd_traced_peak_per_point():
+    """One taped fwd+bwd of the default config at N=2048 holds at most 10,000 B per point at its peak."""
+    n = 2048
+    fwd_bwd = _default_fwd_bwd(n)
+    fwd_bwd()  # warm-up: the matmul padding probes run once per shape
+    tracemalloc.start()
+    try:
+        fwd_bwd()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a tape that keeps every op output alive reads about 13,700 B per point here
+    assert peak / n <= 10_000
+
+
+@contextlib.contextmanager
+def _no_cyclic_gc():
+    """Arrays must be freed by reference counting alone, so a reference cycle would show."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestTapeFreesWhatBackwardDoesNotRead:
+    def _layer(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.uniform(-1.0, 1.0, (16, 4)))
+        w = Tensor(rng.uniform(-1.0, 1.0, (4, 8)), requires_grad=True)
+        b = Tensor(rng.uniform(-1.0, 1.0, (8,)), requires_grad=True)
+        return x, w, b
+
+    def test_product_that_feeds_only_an_add_is_freed(self):
+        x, w, b = self._layer()
+        with _no_cyclic_gc(), Tape() as tape:
+            h = engine.matmul(x, w)
+            ref = weakref.ref(h.data)
+            y = engine.add(h, b)
+            del h
+            assert ref() is None
+            tape.backward(engine.sum_(y))
+        assert w.grad is not None and b.grad is not None
+
+    def test_gelu_input_lives_until_backward(self):
+        x, w, b = self._layer()
+        with _no_cyclic_gc(), Tape() as tape:
+            h = engine.add(engine.matmul(x, w), b)
+            ref = weakref.ref(h.data)
+            y = engine.gelu(h)
+            del h
+            assert ref() is not None
+            tape.backward(engine.sum_(y))
+            assert ref() is None
+        assert w.grad is not None
+
+
+# every op in engine.__all__ that records, called so that it does
+RECORDING_OPS = {
+    "matmul": lambda t: engine.matmul(t, engine.transpose(t)),
+    "transpose": engine.transpose,
+    "reshape": lambda t: engine.reshape(t, (-1,)),
+    "concat": lambda t: engine.concat([t, t], axis=0),
+    "add": lambda t: engine.add(t, t),
+    "sub": lambda t: engine.sub(t, t),
+    "mul": lambda t: engine.mul(t, t),
+    "div": lambda t: engine.div(t, engine.exp(t)),
+    "neg": engine.neg,
+    "sigmoid": engine.sigmoid,
+    "gelu": engine.gelu,
+    "exp": engine.exp,
+    "sqrt": lambda t: engine.sqrt(engine.exp(t)),
+    "softplus": engine.softplus,
+    "clip_min": lambda t: engine.clip_min(t, 0.0),
+    "sum_": engine.sum_,
+    "softmax": engine.softmax,
+    "layer_norm": lambda t: engine.layer_norm(t, engine.parameter(np.ones(3)), engine.parameter(np.zeros(3))),
+    "dropout": lambda t: engine.dropout(t, 0.5, Rng(0), training=True),
+}
+# mean_ records through sum_ and mul
+NOT_RECORDING = {
+    "Tensor", "Tape", "Rng", "ShapeError", "ParameterError", "ContractError", "constant",
+    "parameter", "float64_mode", "reset_alloc_stats", "alloc_stats", "mean_",
+}
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The arguments of every ``Tape.record`` call; the tape gets a wrapper of each closure, as from the span tracer."""
+    calls = []
+    record = Tape.record
+
+    def spy(tape, out, parents, backward_fn):
+        calls.append((out, parents, backward_fn))
+        return record(tape, out, parents, lambda g: backward_fn(g))
+
+    monkeypatch.setattr(Tape, "record", spy)
+    return calls
+
+
+def test_recording_ops_cover_engine_all():
+    assert set(RECORDING_OPS) | NOT_RECORDING == set(engine.__all__)
+
+
+@pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+def test_record_gets_tensors_and_a_closure_named_after_the_op(recorded, op):
+    """The span tracer wraps ``Tape.record(out, parents, backward_fn)`` and names the op from the closure."""
+    x = Tensor(np.random.default_rng(1).uniform(0.5, 1.5, (2, 3)), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(engine.sum_(RECORDING_OPS[op](x)))
+    out, parents, backward_fn = next(c for c in recorded if c[2].__qualname__.startswith(f"{op}."))
+    assert isinstance(out, Tensor)
+    assert type(parents) is tuple and all(isinstance(p, Tensor) for p in parents)
+    assert x.grad is not None and x.grad.shape == x.shape
+
+
+@pytest.mark.parametrize("needs", ["a", "b", "both"])
+def test_matmul_computes_only_the_gradients_received(recorded, needs):
+    """A constant operand gets no gradient computed; the one returned keeps its bits."""
+    rng = np.random.default_rng(7)
+    a = Tensor(rng.uniform(-1.0, 1.0, (5, 4)), requires_grad=needs in ("a", "both"))
+    b = Tensor(rng.uniform(-1.0, 1.0, (4, 3)), requires_grad=needs in ("b", "both"))
+    g = rng.uniform(-1.0, 1.0, (5, 3)).astype(np.float32)
+    with Tape():
+        engine.matmul(a, b)
+    ga, gb = recorded[0][2](g)
+    assert (ga is None) == (needs == "b")
+    assert (gb is None) == (needs == "a")
+    if ga is not None:
+        assert np.array_equal(ga, np.matmul(g, b.data.T))
+    if gb is not None:
+        assert np.array_equal(gb, np.matmul(a.data.T, g))

@@ -9,8 +9,9 @@ Each output is computed in float32 mode (``f32/`` names) and inside
 * ``init.seed5``: every parameter of a seed-5 default model;
 * ``bench.random_cloud.N<n>``: ``bench._random_cloud`` from bench's fixed seed;
 * ``fwdbwd.<config>.N<n>``: the predictions and every parameter gradient of two
-  fwd+bwd passes, for the default config, a ``d_a=2, d_u=3, slices=5`` config, and a
-  ``dropout=0.3, gate_force="half"`` config in training mode;
+  fwd+bwd passes, for the default config, a ``d_a=2, d_u=3, slices=5`` config, a
+  ``dropout=0.3, gate_force="half"`` config in training mode, and a ``layers=8``
+  config, whose tape holds four times as many block records;
 * ``train.checkpoint`` and ``train.report``: a 24-step ``train`` on the Poisson samples
   (the report without ``wall_time_s``);
 * ``load.checkpoint``: the parameters ``load_checkpoint`` gives for that checkpoint.
@@ -47,6 +48,7 @@ CONFIGS = {
     "desk": (ModelConfig(), False),
     "wide_io": (ModelConfig(d_a=2, d_u=3, slices=5), False),
     "dropout_half_gate": (ModelConfig(dropout=0.3, gate_force="half"), True),
+    "layers8": (ModelConfig(layers=8), False),
 }
 
 
