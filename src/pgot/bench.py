@@ -64,10 +64,10 @@ def run_bench(config: ModelConfig, sizes: list[int], repeats: int = 5) -> list[B
     if sizes != sorted(sizes):
         raise ConfigError(f"sizes must be ascending, got {sizes}")
     model = PgotModel(config)
-    rng = Rng(1234)  # fixed, so every run times the same clouds
     records = []
     for n in sizes:
-        a, coords = _random_cloud(rng, n, config.d, config.d_a)
+        # a fresh fixed seed per size, so a size's cloud depends only on N
+        a, coords = _random_cloud(Rng(1234), n, config.d, config.d_a)
         model.predict(a, coords)  # warm-up
         med, lo, hi = _time_us(lambda: model.predict(a, coords), repeats)
 

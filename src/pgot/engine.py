@@ -29,10 +29,10 @@ and normalized coordinates are float32 in both modes.
   softmax normalisers, broadcast-gradient sums and the LayerNorm
   ``gain``/``bias`` gradients.
 
-The tape holds gradient nodes, not tensors: each recorded op output gets a
-``_Node`` with only its pending gradient and dtype, and each backward
-closure keeps only the arrays it reads (shapes and dtypes for the rest). An
-op output that no backward reads is freed with its caller's last reference.
+Every tensor that needs a gradient has one ``_Node`` (pending gradient and
+dtype): a parameter from its construction, an op output from its recording.
+The tape holds nodes, not tensors; backward closures keep only the arrays
+they read, so an op output that no backward reads dies with its last user.
 
 Importing this module tells glibc's malloc to keep freed memory in the
 process (see ``_keep_freed_memory``): a large pass then reuses the previous
@@ -196,25 +196,33 @@ class Rng:
 class Tensor:
     """Dense row-major array, immutable after creation by convention.
 
-    ``grad`` is populated by ``backward`` for every leaf that requires
-    gradients (a parameter); an op output's gradient lives on its tape node
-    and is dropped once consumed. Optimizers mutate leaf ``data`` in place
-    between tapes.
+    It needs a gradient exactly when it has a ``_Node``: a parameter gets one
+    here, an op output when a tape records it; ``grad`` reads and writes it.
+    Optimizers mutate leaf ``data`` in place between tapes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=_DTYPE))
+        arr = np.ascontiguousarray(data, dtype=_DTYPE)
         self.data = arr
-        self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
-        self._tape: Optional["Tape"] = None
-        self._node: Optional["_Node"] = None  # set when a tape records this tensor as an op output
+        self._node: Optional["_Node"] = _Node(arr.dtype) if requires_grad else None
         _ALLOC["bytes"] += arr.nbytes
         _ALLOC["count"] += 1
         if arr.nbytes > _ALLOC["max_single"]:
             _ALLOC["max_single"] = arr.nbytes
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._node.grad = value
 
     @property
     def shape(self):
@@ -223,10 +231,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -263,7 +267,7 @@ def _wrap(value) -> Tensor:
 
 
 class _Node:
-    """Gradient slot of one recorded op output: its pending ``grad`` and its dtype."""
+    """Gradient slot of one tensor: its pending ``grad`` and its dtype."""
 
     __slots__ = ("grad", "dtype")
 
@@ -275,12 +279,10 @@ class _Node:
 class Tape:
     """Ordered record of operations for one forward pass.
 
-    A record is ``(out node, parent nodes, backward_fn)``; it holds gradient
-    nodes, never the op's output or input tensors, and the closures keep
-    only the arrays their backward reads. A leaf that requires a gradient
-    (a parameter) is its own node, so its ``.grad`` is filled in place; a
-    parent that requires none is ``None``. Nodes refer to nothing, so tape,
-    nodes and tensors form no reference cycle.
+    A record is ``(out node, parent nodes, backward_fn)``: gradient nodes,
+    never the op's tensors, with ``None`` for a parent that needs no
+    gradient; the closures keep only the arrays their backward reads. Nodes
+    refer to nothing, so tape, nodes and tensors form no reference cycle.
 
     Records are appended in execution order, so a single reverse sweep is
     a valid reverse-topological traversal.
@@ -302,13 +304,13 @@ class Tape:
 
     def record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable):
         node = out._node = _Node(out.data.dtype)
-        nodes = tuple([p._node or (p if p.requires_grad else None) for p in parents])
+        nodes = tuple([p._node for p in parents])
         self._records.append((node, nodes, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         if loss.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self:
+        if not any(out is loss._node for out, _, _ in reversed(self._records)):
             raise ContractError("loss was not recorded on this tape")
         loss._node.grad = np.ones_like(loss.data)
         for i in range(len(self._records) - 1, -1, -1):
@@ -333,9 +335,7 @@ class Tape:
 def _make(out_data, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     out = Tensor(out_data)
     tape = Tape.current
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._tape = tape
+    if tape is not None and any(p._node is not None for p in parents):
         tape.record(out, tuple(parents), backward_fn)
     return out
 
@@ -577,7 +577,7 @@ def matmul(a: Tensor, b: Tensor, *, accumulate64: bool = False) -> Tensor:
     else:
         data = _accum_matmul(x, w, x.dtype)
     # a gradient nobody receives (a constant operand's) is not computed
-    need_a, need_b = a.requires_grad, b.requires_grad
+    need_a, need_b = a._node is not None, b._node is not None
 
     def bwd(g):
         ga = gb = None

@@ -350,6 +350,21 @@ class TestBench:
             # a peak, not the sum of the pass's allocations
             assert record.peak_bytes < engine.alloc_stats()["bytes"]
 
+    def test_cloud_depends_only_on_its_size(self, monkeypatch):
+        config = ModelConfig.from_dict(DESK_CONFIG["model"])
+        clouds, draw = [], bench._random_cloud
+
+        def random_cloud(rng, n, d, d_a):
+            a, coords = draw(rng, n, d, d_a)
+            clouds.append((n, coords))
+            return a, coords
+
+        monkeypatch.setattr(bench, "_random_cloud", random_cloud)
+        bench.run_bench(config, [8, 16], repeats=1)
+        bench.run_bench(config, [16], repeats=1)
+        after_8, alone = (coords for n, coords in clouds if n == 16)
+        assert np.array_equal(after_8, alone)
+
     def test_out_of_memory_exit_2_with_one_line(self, tmp_path, config_path, monkeypatch, capsys):
         def run_bench(*args, **kwargs):
             raise MemoryError("Unable to allocate 64.0 GiB for an array with shape (1024, 4096, 4096)")

@@ -359,6 +359,22 @@ class TestBackward:
         with pytest.raises(ContractError):
             Tape().backward(engine.sum_(x))
 
+    def test_loss_of_another_tape_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape_a:
+            loss = engine.sum_(x * x)
+        with pytest.raises(ContractError, match="not recorded on this tape"):
+            Tape().backward(loss)
+        tape_a.backward(loss)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_leaf_loss_rejected(self):
+        x = Tensor([3.0], requires_grad=True)
+        with Tape() as tape:
+            engine.sum_(x * x)
+            with pytest.raises(ContractError, match="not recorded on this tape"):
+                tape.backward(x)
+
     def test_grad_shapes_match_leaves(self):
         rng = Rng(21)
         a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)

@@ -12,6 +12,9 @@ Each output is computed in float32 mode (``f32/`` names) and inside
   fwd+bwd passes, for the default config, a ``d_a=2, d_u=3, slices=5`` config, a
   ``dropout=0.3, gate_force="half"`` config in training mode, and a ``layers=8``
   config, whose tape holds four times as many block records;
+* ``inspect.desk.N<n>``: after a ``predict`` of a default model with ``set_inspection(True)``,
+  every block's ``attn.last_assignment`` followed by its ``ffn.last_gate``, the arrays
+  ``pgot inspect`` dumps;
 * ``train.checkpoint`` and ``train.report``: a 24-step ``train`` on the Poisson samples
   (the report without ``wall_time_s``);
 * ``load.checkpoint``: the parameters ``load_checkpoint`` gives for that checkpoint.
@@ -89,6 +92,15 @@ def fwdbwd(config: ModelConfig, training: bool, n: int) -> str:
     return digest(*arrays)
 
 
+def inspect(n: int) -> str:
+    config = ModelConfig()
+    model = PgotModel(config)
+    model.set_inspection(True)
+    a, coords, _ = cloud(n, config)
+    model.predict(a, coords)
+    return digest(*(arr for block in model.blocks for arr in (block.attn.last_assignment, block.ffn.last_gate)))
+
+
 def hashes(sizes: list[int], workdir: Path):
     poisson = gen_poisson2d(7, 16, 2)
     yield "gen.poisson2d", digest(*sample_arrays(poisson))
@@ -102,6 +114,8 @@ def hashes(sizes: list[int], workdir: Path):
     for name, (config, training) in CONFIGS.items():
         for n in sizes:
             yield f"fwdbwd.{name}.N{n}", fwdbwd(config, training, n)
+    for n in sizes:
+        yield f"inspect.desk.N{n}", inspect(n)
     ckpt = workdir / "checkpoint.pgck"
     _, report = train(ModelConfig(), poisson, compute_stats(poisson), steps=24, checkpoint_path=ckpt)
     yield "train.checkpoint", digest(np.frombuffer(ckpt.read_bytes(), dtype=np.uint8))
