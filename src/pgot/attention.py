@@ -34,19 +34,21 @@ class LatentMhsa(Module):
         self.wo = Linear(rng, width, width, bias=False)
 
     def __call__(self, z: Tensor) -> Tensor:
-        m = z.shape[0]
+        *lead, m, _ = z.shape
         h, dh = self.heads, self.head_dim
+        r = len(lead)
+        swap = (*range(r), r + 1, r, r + 2)  # (..., M, H, Dh) <-> (..., H, M, Dh)
 
-        def split(t):  # (M, C) -> (H, M, Dh)
-            return engine.transpose(engine.reshape(t, (m, h, dh)), (1, 0, 2))
+        def split(t):  # (..., M, C) -> (..., H, M, Dh)
+            return engine.transpose(engine.reshape(t, (*lead, m, h, dh)), swap)
 
         q = split(self.wq(z))
         k = split(self.wk(z))
         v = split(self.wv(z))
-        scores = engine.matmul(q, engine.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(dh))
+        scores = engine.matmul(q, engine.transpose(k)) * (1.0 / math.sqrt(dh))
         attn = engine.softmax(scores, axis=-1)
-        out = engine.matmul(attn, v)  # (H, M, Dh)
-        out = engine.reshape(engine.transpose(out, (1, 0, 2)), (m, self.width))
+        out = engine.matmul(attn, v)  # (..., H, M, Dh)
+        out = engine.reshape(engine.transpose(out, swap), (*lead, m, self.width))
         return self.wo(out)
 
 
@@ -68,7 +70,6 @@ class SpecGeoAttention(Module):
         scales: int,
         use_geometry: bool = True,
     ):
-        self.slices = slices
         self.wx = Linear(rng, width, width, bias=False)
         self.wf = Linear(rng, width, width, bias=False)
         self.prototypes = init_uniform(rng, width, (slices, width))
@@ -77,7 +78,7 @@ class SpecGeoAttention(Module):
         self.bank = GeometricEncoderBank(rng, d, width, scales) if use_geometry else None
         self.mhsa = LatentMhsa(rng, width, heads)
         self.cache_enabled = False
-        self.last_assignment: np.ndarray | None = None  # (N, M), kept while cache_enabled
+        self.last_assignment: np.ndarray | None = None  # (..., N, M), kept while cache_enabled
         self.dead_slice_events = 0
 
     def geometry_informed_query(self, x: Tensor, coords_norm: np.ndarray) -> Tensor:
@@ -89,7 +90,7 @@ class SpecGeoAttention(Module):
     def compute_assignment(self, xq: Tensor) -> Tensor:
         tau = engine.softplus(self.tau_raw)
         logits = engine.div(engine.matmul(xq, engine.transpose(self.prototypes)), tau)
-        return engine.softmax(logits, axis=1)
+        return engine.softmax(logits, axis=-1)
 
     def slice_tokens(self, assignment: Tensor, x: Tensor) -> Tensor:
         """Mass-normalized aggregation of projected features into M tokens.
@@ -98,10 +99,10 @@ class SpecGeoAttention(Module):
         counts once in ``dead_slice_events``.
         """
         xf = self.wf(x)
-        col = engine.sum_(assignment, axis=0)  # (M,)
+        col = engine.sum_(assignment, axis=-2)  # (..., M)
         self.dead_slice_events += int(np.count_nonzero(col.data < DEAD_SLICE_EPS))
-        num = engine.matmul(engine.transpose(assignment), xf, accumulate64=True)  # (M, C), a sum over points
-        denom = engine.reshape(engine.clip_min(col, DEAD_SLICE_EPS), (self.slices, 1))
+        num = engine.matmul(engine.transpose(assignment), xf, accumulate64=True)  # (..., M, C), a sum over points
+        denom = engine.reshape(engine.clip_min(col, DEAD_SLICE_EPS), (*col.shape, 1))
         return engine.div(num, denom)
 
     def deslice(self, assignment: Tensor, z: Tensor) -> Tensor:

@@ -592,8 +592,10 @@ def matmul(a: Tensor, b: Tensor, *, accumulate64: bool = False) -> Tensor:
 
 
 def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
+    """Permute the axes; by default swap the last two, so a stack of matrices transposes each."""
     if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
+        nd = a.data.ndim
+        axes = (*range(nd - 2), *reversed(range(nd)[-2:]))  # a 1-D tensor stays as it is
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     data = np.transpose(a.data, axes)

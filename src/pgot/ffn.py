@@ -57,7 +57,7 @@ class TaylorDecompFFN(Module):
         if fill is None:
             alpha = self.spatial_gate(gate_feats)
         else:
-            alpha = engine.constant(np.full((x.shape[0], self.width), fill))
+            alpha = engine.constant(np.full((*x.shape[:-1], self.width), fill))
         if self.cache_enabled:
             self.last_gate = alpha.data.copy()
         f_lin = self.linear_expert(x, rng, training)

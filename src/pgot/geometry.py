@@ -68,5 +68,5 @@ class GeometricEncoderBank(Module):
         for s, enc in enumerate(self.encoders):
             scaled = engine.constant(self.scale_input(s, coords_norm))
             feats.append(enc(scaled))
-        fused = self.fuse(engine.concat(feats, axis=1))
+        fused = self.fuse(engine.concat(feats, axis=-1))
         return engine.gelu(fused)

@@ -143,19 +143,27 @@ class PgotModel(Module):
         return geometry.pos_embed(coords_norm, self.config.pe_frequencies)
 
     def predict(self, a: np.ndarray, coords: np.ndarray) -> Tensor:
+        """Output field (N, d_u) for an input field ``a`` (N, d_a), or (B, N, d_u) for a stack
+        (B, N, d_a) of fields on the same (N, d) ``coords``.
+
+        Every axis counts from the end, so the coordinate work runs once for the stack, and each
+        stacked field gets the bits of its own 2-D ``predict``.
+        """
         a = np.asarray(a)
-        if a.ndim != 2 or a.shape[1] != self.config.d_a:
+        if a.ndim not in (2, 3) or a.shape[-1] != self.config.d_a:
             raise ConfigError(
-                f"input field shape {a.shape} does not match d_a={self.config.d_a}"
+                f"input field shape {a.shape} is not (N, d_a) or (B, N, d_a) with d_a={self.config.d_a}"
             )
         coords = np.asarray(coords)
-        if a.shape[0] == 0 or coords.shape != (a.shape[0], self.config.d):
+        if a.size == 0 or coords.shape != (a.shape[-2], self.config.d):
             raise ConfigError(
                 f"coordinates {coords.shape} do not match input field {a.shape} with d={self.config.d}"
             )
         coords_norm = normalize_coords(coords)
         pe_t = engine.constant(self.embed(coords_norm))
-        x = self.lift(engine.concat([engine.constant(a), pe_t], axis=1))
+        # a stack repeats the float32 features per field; held in `x`, that copy dies with the lift
+        x = pe_t if a.ndim == 2 else engine.constant(np.broadcast_to(pe_t.data, (*a.shape[:-1], pe_t.shape[-1])))
+        x = self.lift(engine.concat([engine.constant(a), x], axis=-1))
         for index, block in enumerate(self.blocks):
             x = block(x, coords_norm, pe_t, self._dropout_rng, self.training)
             if not np.all(np.isfinite(x.data)):

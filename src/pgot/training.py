@@ -260,21 +260,40 @@ def train(
     return model, report
 
 
+# the most points one evaluation pass stacks: its peak stays at one N=8192 predict, and the speed-up
+# of stacking levels off by about 2048 points
+EVAL_POINTS = 8192
+
+
 def evaluate(model: PgotModel, samples: list[Sample], stats: NormStats) -> dict:
     """Mean denormalized relative L2 plus a scalar-functional Spearman rank.
 
+    Samples that share their coordinates are predicted together, as one
+    stack per forward pass; each keeps the bits of its own ``predict``.
     The rank functional is the per-sample mean target vs mean prediction;
     Spearman is reported as None when fewer than 3 samples are given.
     """
     if not samples:
         raise ConfigError("evaluation requires a non-empty dataset")
     check_dims(model.config, samples)
+    # keyed by the input's shape too, so a field whose length differs from its mesh's reaches predict's check
+    meshes = {}
+    for index, s in enumerate(samples):
+        key = (s.coords.dtype.str, s.coords.shape, s.coords.tobytes(), s.input.shape)
+        meshes.setdefault(key, []).append(index)
+    preds_norm = [None] * len(samples)
+    for group in meshes.values():
+        coords = samples[group[0]].coords
+        per_pass = max(1, EVAL_POINTS // len(coords))
+        for start in range(0, len(group), per_pass):
+            chunk = group[start : start + per_pass]
+            a_norm = np.stack([normalize(samples[i].input, stats.input_mean, stats.input_std) for i in chunk])
+            for i, pred_norm in zip(chunk, model.predict(a_norm, coords).data):
+                preds_norm[i] = pred_norm
     errors = []
     mean_true = []
     mean_pred = []
-    for index, s in enumerate(samples):
-        a_norm = normalize(s.input, stats.input_mean, stats.input_std)
-        pred_norm = model.predict(a_norm, s.coords).data
+    for index, (s, pred_norm) in enumerate(zip(samples, preds_norm)):
         pred = denormalize(pred_norm, stats.target_mean, stats.target_std)
         # finite model outputs can still overflow here, through huge target stats
         if not np.all(np.isfinite(pred)):

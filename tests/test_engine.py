@@ -76,9 +76,15 @@ class TestFloat32Product:
                         a = gen.uniform(-1.0, 1.0, (n, k)).astype(np.float32)
                         b = Tensor(gen.uniform(-1.0, 1.0, (k, c)))
                         out = engine.matmul(Tensor(a), b).data
-                        for perm in (gen.permutation(n), np.arange(n)[::-1], np.roll(np.arange(n), 1)):
+                        perms = (gen.permutation(n), np.arange(n)[::-1], np.roll(np.arange(n), 1))
+                        for perm in perms:
                             if not np.array_equal(engine.matmul(Tensor(a[perm]), b).data, out[perm]):
                                 failures.append((n, k, c, seed))
+                        # a stack behind a leading axis, against a shared and against a stacked right operand
+                        stack = Tensor(np.stack([a, a[perms[0]]]))
+                        for right in (b, Tensor(np.stack([b.data, b.data]))):
+                            if not np.array_equal(engine.matmul(stack, right).data, [out, out[perms[0]]]):
+                                failures.append((n, k, c, seed, "stacked"))
         assert not failures, f"{len(failures)} shapes: {failures[:5]}"
 
     def test_failed_probe_falls_back_to_64_bit(self, monkeypatch):
@@ -140,6 +146,36 @@ class TestFloat32Product:
             grad64 = gradients(wide, np.float64)
         # over the whole gradient: a scalar such as tau_raw sums terms that cancel, so alone it is looser
         assert np.linalg.norm(grad32 - grad64) <= 1e-6 * np.linalg.norm(grad64)
+
+
+    def test_stacked_gradients_are_the_sum_of_per_sample_gradients(self):
+        """Backward through a (B, N, d_a) stack: the summed losses' gradients are the per-sample sums."""
+        gen = Rng(22)
+        coords = gen.uniform(0.0, 1.0, (64, 2))
+        fields = gen.uniform(-1.0, 1.0, (2, 64, 1))
+        targets = [np.sin(3.0 * coords[:, :1]), np.cos(2.0 * coords[:, 1:])]
+
+        def gradients(model, loss_fn):
+            with Tape() as tape:
+                tape.backward(loss_fn())
+            grads = [p.grad.copy() for _, p in model.parameters()]
+            model.zero_grad()
+            return grads
+
+        with engine.float64_mode():
+            model = PgotModel(ModelConfig(seed=4))
+
+            def stacked():
+                pred = model.predict(fields, coords)
+                return relative_l2_loss(pred[0], targets[0]) + relative_l2_loss(pred[1], targets[1])
+
+            together = gradients(model, stacked)
+            apart = [
+                gradients(model, lambda b=b: relative_l2_loss(model.predict(fields[b], coords), targets[b]))
+                for b in range(2)
+            ]
+        for (name, _), g, g0, g1 in zip(model.parameters(), together, *apart):
+            assert np.allclose(g, g0 + g1, rtol=1e-10, atol=1e-12), name
 
 
 class TestSoftmax:
@@ -306,6 +342,12 @@ class TestElementwise:
             return engine.sum_(engine.mul(y[1:3], y[1:3]))
 
         check_grads(loss, {"x": rand(rng, 3, 4)})
+
+    def test_default_transpose_swaps_the_last_two_axes(self):
+        x = rand(Rng(23), 2, 3, 4)
+        assert np.array_equal(engine.transpose(Tensor(x)).data, np.swapaxes(x, -1, -2).astype(np.float32))
+        weights = rand(Rng(24), 2, 4, 3)
+        check_grads(lambda t: engine.sum_(engine.mul(engine.transpose(t["x"]), Tensor(weights))), {"x": x})
 
     def test_mean_gradient(self):
         rng = Rng(20)

@@ -145,6 +145,36 @@ class TestPredict:
         assert engine.alloc_stats()["max_single"] < n * n * 4
 
 
+# the configs whose stacked predict must give every field the bits of its own predict
+STACK_CONFIGS = {
+    "desk": ModelConfig(seed=13),
+    "deep": ModelConfig(layers=4, width=36, heads=4, slices=5, seed=14),
+    "half_gate": ModelConfig(gate_force="half", seed=15),
+    "no_sga_no_tdf": ModelConfig(disable_sga=True, disable_tdf=True, seed=16),
+}
+
+
+class TestStackedPredict:
+    @pytest.mark.parametrize("n", [37, 256])
+    @pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+    def test_stacked_rows_keep_their_bits(self, name, n):
+        model = PgotModel(STACK_CONFIGS[name])
+        rng = Rng(n)
+        coords = rng.random((n, 2)).astype(np.float32)
+        stack = rng.uniform(-1.0, 1.0, (5, n, 1))
+        out = model.predict(stack, coords).data
+        assert out.shape == (5, n, 1)
+        for field, row in zip(stack, out):
+            assert np.array_equal(row, model.predict(field, coords).data)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2, 10, 1), (0, 10, 1), (2, 11, 1), (2, 10, 2)], ids=["4-D", "empty", "other_n", "other_d_a"]
+    )
+    def test_bad_stack_rejected(self, shape):
+        with pytest.raises(ConfigError, match=re.escape(str(shape))):
+            PgotModel(TINY).predict(np.zeros(shape, dtype=np.float32), Rng(2).random((10, 2)))
+
+
 class TestBlocks:
     def test_zero_nonresidual_weights_is_identity(self):
         model = PgotModel(ModelConfig(layers=1, seed=8))

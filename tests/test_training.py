@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from pgot import training
-from pgot.data import compute_stats, gen_poisson2d
+from pgot.data import compute_stats, denormalize, gen_pointcloud_stress, gen_poisson2d, normalize
 from pgot.engine import Rng, Tape, Tensor
 from pgot.errors import ConfigError, MetricError, NumericalError
 from pgot.model import ModelConfig, PgotModel
@@ -395,13 +395,16 @@ class TestEvaluate:
             def predict(self, a_norm, coords):
                 from pgot.data import normalize
 
-                # match the sample by its normalized input field (coords are shared)
-                idx = [
-                    i
-                    for i, s in enumerate(samples)
-                    if np.array_equal(normalize(s.input, stats.input_mean, stats.input_std), a_norm)
-                ][0]
-                return Tensor(normalize(samples[idx].target, stats.target_mean, stats.target_std))
+                # match each field of the stack to a sample by its normalized input (coords are shared)
+                def target(field):
+                    idx = [
+                        i
+                        for i, s in enumerate(samples)
+                        if np.array_equal(normalize(s.input, stats.input_mean, stats.input_std), field)
+                    ][0]
+                    return normalize(samples[idx].target, stats.target_mean, stats.target_std)
+
+                return Tensor(np.stack([target(field) for field in a_norm]))
 
         metrics = evaluate(Oracle(), samples, stats)
         assert metrics["rel_l2"] < 1e-6
@@ -412,3 +415,67 @@ class TestEvaluate:
         model = PgotModel(ModelConfig(d_u=3))
         with pytest.raises(ConfigError):
             evaluate(model, samples, stats)
+
+
+def per_sample_evaluate(model, samples, stats):
+    """``evaluate`` as one ``predict`` per sample, in list order."""
+    errors, mean_true, mean_pred = [], [], []
+    for s in samples:
+        pred_norm = model.predict(normalize(s.input, stats.input_mean, stats.input_std), s.coords).data
+        pred = denormalize(pred_norm, stats.target_mean, stats.target_std)
+        errors.append(relative_l2(s.target, pred))
+        mean_true.append(float(s.target.mean()))
+        mean_pred.append(float(pred.mean()))
+    try:
+        rho = spearman(np.asarray(mean_true), np.asarray(mean_pred))
+    except MetricError:
+        rho = None
+    return {"rel_l2": float(np.mean(errors)), "spearman": rho}
+
+
+def interleaved_grids():
+    """Samples on a 12x12 and a 16x16 grid, alternating."""
+    small, large = gen_poisson2d(3, 12, 3), gen_poisson2d(4, 16, 3)
+    return [s for pair in zip(small, large) for s in pair]
+
+
+# case -> (model config, samples, forward passes evaluate makes)
+EVAL_CASES = {
+    "poisson2d": (ModelConfig(seed=5), lambda: gen_poisson2d(7, 16, 8), 1),
+    "pointcloud_stress": (ModelConfig(d_a=2, seed=5), lambda: gen_pointcloud_stress(3, 64, 3), 3),
+    "interleaved": (ModelConfig(seed=6), interleaved_grids, 2),
+}
+
+
+class TestStackedEvaluate:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The input shape of every ``predict`` call."""
+        shapes = []
+        predict = PgotModel.predict
+
+        def spy(model, a, coords):
+            shapes.append(np.shape(a))
+            return predict(model, a, coords)
+
+        monkeypatch.setattr(PgotModel, "predict", spy)
+        return shapes
+
+    @pytest.mark.parametrize("case", sorted(EVAL_CASES))
+    def test_evaluate_rows_keep_their_bits(self, case, passes):
+        config, make, count = EVAL_CASES[case]
+        samples = make()
+        stats = compute_stats(samples)
+        model = PgotModel(config)
+        metrics = evaluate(model, samples, stats)
+        assert len(passes) == count
+        assert metrics == per_sample_evaluate(model, samples, stats)
+
+    def test_chunked_evaluate_rows_keep_their_bits(self, passes, monkeypatch):
+        monkeypatch.setattr(training, "EVAL_POINTS", 3 * 256 + 255)  # three 16x16 fields a pass
+        samples = gen_poisson2d(7, 16, 8)
+        stats = compute_stats(samples)
+        model = PgotModel(ModelConfig(seed=5))
+        metrics = evaluate(model, samples, stats)
+        assert passes == [(3, 256, 1), (3, 256, 1), (2, 256, 1)]
+        assert metrics == per_sample_evaluate(model, samples, stats)

@@ -15,6 +15,9 @@ Each output is computed in float32 mode (``f32/`` names) and inside
 * ``inspect.desk.N<n>``: after a ``predict`` of a default model with ``set_inspection(True)``,
   every block's ``attn.last_assignment`` followed by its ``ffn.last_gate``, the arrays
   ``pgot inspect`` dumps;
+* ``eval.poisson2d`` and ``eval.pointcloud_stress``: the JSON of ``evaluate``'s dict for a
+  seed-5 default model on ``gen_poisson2d(7, 16, 8)`` (one mesh) and for a seed-5 ``d_a=2``
+  model on ``gen_pointcloud_stress(3, 64, 3)`` (a mesh each);
 * ``train.checkpoint`` and ``train.report``: a 24-step ``train`` on the Poisson samples
   (the report without ``wall_time_s``);
 * ``load.checkpoint``: the parameters ``load_checkpoint`` gives for that checkpoint.
@@ -45,7 +48,7 @@ from pgot import bench, engine
 from pgot.data import compute_stats, gen_pointcloud_stress, gen_poisson2d, write_dataset
 from pgot.engine import Rng, Tape
 from pgot.model import ModelConfig, PgotModel, load_checkpoint
-from pgot.training import relative_l2_loss, train
+from pgot.training import evaluate, relative_l2_loss, train
 
 CONFIGS = {
     "desk": (ModelConfig(), False),
@@ -101,6 +104,11 @@ def inspect(n: int) -> str:
     return digest(*(arr for block in model.blocks for arr in (block.attn.last_assignment, block.ffn.last_gate)))
 
 
+def evaluation(config: ModelConfig, samples) -> str:
+    metrics = evaluate(PgotModel(config), samples, compute_stats(samples))
+    return digest(np.frombuffer(json.dumps(metrics, sort_keys=True).encode(), dtype=np.uint8))
+
+
 def hashes(sizes: list[int], workdir: Path):
     poisson = gen_poisson2d(7, 16, 2)
     yield "gen.poisson2d", digest(*sample_arrays(poisson))
@@ -116,6 +124,8 @@ def hashes(sizes: list[int], workdir: Path):
             yield f"fwdbwd.{name}.N{n}", fwdbwd(config, training, n)
     for n in sizes:
         yield f"inspect.desk.N{n}", inspect(n)
+    yield "eval.poisson2d", evaluation(ModelConfig(seed=5), gen_poisson2d(7, 16, 8))
+    yield "eval.pointcloud_stress", evaluation(ModelConfig(d_a=2, seed=5), gen_pointcloud_stress(3, 64, 3))
     ckpt = workdir / "checkpoint.pgck"
     _, report = train(ModelConfig(), poisson, compute_stats(poisson), steps=24, checkpoint_path=ckpt)
     yield "train.checkpoint", digest(np.frombuffer(ckpt.read_bytes(), dtype=np.uint8))
