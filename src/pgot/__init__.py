@@ -1,7 +1,7 @@
 """Physics-geometry operator transformer on a from-scratch autodiff engine."""
 
 from .engine import Rng, Tape, Tensor, float64_mode
-from .model import ModelConfig, PgotModel, count_params, load_checkpoint, save_checkpoint
+from .model import ModelConfig, PgotModel, load_checkpoint, save_checkpoint
 from .training import AdamW, evaluate, relative_l2, spearman, train
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "float64_mode",
     "ModelConfig",
     "PgotModel",
-    "count_params",
     "load_checkpoint",
     "save_checkpoint",
     "AdamW",

@@ -115,7 +115,7 @@ class SpecGeoAttention(Module):
         z = self.mhsa(z)
         out = self.deslice(assignment, z)
         if self.cache_enabled:
-            self.last_assignment = assignment.data.copy()
+            self.last_assignment = assignment.data
         return out
 
 

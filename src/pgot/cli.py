@@ -110,24 +110,18 @@ def cmd_inspect(args) -> int:
     # the model reads normalized inputs, as in `pgot eval`: take the stats of the dataset the sample sits in
     stats = NormStats.from_dict(read_manifest(Path(args.sample).with_name(MANIFEST_NAME))["normalization"])
     stats.check_channels(sample, args.sample)
-    model.set_inspection(True)
-    model.predict(normalize(sample.input, stats.input_mean, stats.input_std), sample.coords)
+    dumps = model.inspect(normalize(sample.input, stats.input_mean, stats.input_std), sample.coords)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     coord_cols = [f"x{i}" for i in range(sample.coords.shape[1])]
-    for layer, block in enumerate(model.blocks):
-        # layers without inspection state (dense attention, plain FFN) dump nothing
-        dumps = (("assignment", "a", getattr(block.attn, "last_assignment", None)),
-                 ("gate", "g", getattr(block.ffn, "last_gate", None)))
-        for kind, col, values in dumps:
-            if values is None:
-                continue
-            with open(out_dir / f"layer{layer}_{kind}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(coord_cols + [f"{col}{j}" for j in range(values.shape[1])])
-                for coords_row, row in zip(sample.coords, values):
-                    writer.writerow([repr(float(v)) for v in (*coords_row, *row)])
-    print(f"wrote inspection dumps for {len(model.blocks)} layers to {out_dir}")
+    for key, values in dumps.items():
+        col = "a" if key.endswith("_assignment") else "g"
+        with open(out_dir / f"{key}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(coord_cols + [f"{col}{j}" for j in range(values.shape[1])])
+            for coords_row, row in zip(sample.coords, values):
+                writer.writerow([repr(float(v)) for v in (*coords_row, *row)])
+    print(f"wrote {len(dumps)} inspection dumps to {out_dir}")
     return EXIT_OK
 
 

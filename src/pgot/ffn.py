@@ -59,7 +59,7 @@ class TaylorDecompFFN(Module):
         else:
             alpha = engine.constant(np.full((*x.shape[:-1], self.width), fill))
         if self.cache_enabled:
-            self.last_gate = alpha.data.copy()
+            self.last_gate = alpha.data
         f_lin = self.linear_expert(x, rng, training)
         f_non = self.nonlinear_expert(x)
         one = engine.constant(np.ones((), dtype=alpha.data.dtype))

@@ -129,25 +129,39 @@ class PgotModel(Module):
         self.blocks = [PhysGeoBlock(rng, config, pe_dim) for _ in range(config.layers)]
         self.decoder = Mlp2(rng, config.width, config.width, config.d_u)
         self._dropout_rng = Rng(config.seed ^ 0x5EED)
-        self.training = False
 
-    def set_inspection(self, enabled: bool) -> None:
-        """Keep each layer's last assignment / gate; layers without one are skipped."""
-        for block in self.blocks:
-            for layer in (block.attn, block.ffn):
+    def inspect(self, a: np.ndarray, coords: np.ndarray) -> dict[str, np.ndarray]:
+        """One ``predict``'s slice assignment (N, M) and gate (N, width) of each block, as
+        ``layer{i}_assignment`` and ``layer{i}_gate`` in block order.
+
+        Layers without one (dense attention, plain FFN) give no key. The layers keep
+        nothing afterwards, whether ``predict`` returns or raises.
+        """
+        kept = {}  # key -> (layer, the attribute that holds its array)
+        for i, block in enumerate(self.blocks):
+            for kind, layer, attr in (("assignment", block.attn, "last_assignment"), ("gate", block.ffn, "last_gate")):
                 if hasattr(layer, "cache_enabled"):
-                    layer.cache_enabled = enabled
+                    kept[f"layer{i}_{kind}"] = (layer, attr)
+        try:
+            for layer, _ in kept.values():
+                layer.cache_enabled = True
+            self.predict(a, coords)
+            return {key: getattr(layer, attr) for key, (layer, attr) in kept.items()}
+        finally:
+            for layer, attr in kept.values():
+                layer.cache_enabled = False
+                setattr(layer, attr, None)
 
     def embed(self, coords_norm: np.ndarray) -> np.ndarray:
         """Coordinate features fed to the lift and to every FFN gate."""
         return geometry.pos_embed(coords_norm, self.config.pe_frequencies)
 
-    def predict(self, a: np.ndarray, coords: np.ndarray) -> Tensor:
+    def predict(self, a: np.ndarray, coords: np.ndarray, training: bool = False) -> Tensor:
         """Output field (N, d_u) for an input field ``a`` (N, d_a), or (B, N, d_u) for a stack
         (B, N, d_a) of fields on the same (N, d) ``coords``.
 
         Every axis counts from the end, so the coordinate work runs once for the stack, and each
-        stacked field gets the bits of its own 2-D ``predict``.
+        stacked field gets the bits of its own 2-D ``predict``. Dropout acts only with ``training``.
         """
         a = np.asarray(a)
         if a.ndim not in (2, 3) or a.shape[-1] != self.config.d_a:
@@ -165,7 +179,7 @@ class PgotModel(Module):
         x = pe_t if a.ndim == 2 else engine.constant(np.broadcast_to(pe_t.data, (*a.shape[:-1], pe_t.shape[-1])))
         x = self.lift(engine.concat([engine.constant(a), x], axis=-1))
         for index, block in enumerate(self.blocks):
-            x = block(x, coords_norm, pe_t, self._dropout_rng, self.training)
+            x = block(x, coords_norm, pe_t, self._dropout_rng, training)
             if not np.all(np.isfinite(x.data)):
                 raise NumericalError(f"non-finite activations after block {index}", layer=index)
         out = self.decoder(x)
@@ -185,12 +199,6 @@ def check_dims(config: ModelConfig, samples) -> None:
         wrong = [f"{k} (config {getattr(config, k)}, data {n})" for k, n in widths.items() if n != getattr(config, k)]
         if wrong:
             raise ConfigError(f"config/data dimension mismatch in sample {index}: " + "; ".join(wrong))
-
-
-def count_params(config: ModelConfig) -> int:
-    """Exact learnable-scalar count for a configuration."""
-    model = PgotModel(config)
-    return sum(p.size for _, p in model.parameters())
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,8 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominato
 class AdamW:
     """Adam with decoupled weight decay; each ``p.data`` becomes a view of one flat vector."""
 
-    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 0.0):
+    def __init__(self, params, weight_decay: float = 0.0):
         self.params = list(params)  # list of (name, Tensor)
-        self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
         self.flat = np.concatenate([p.data.ravel() for _, p in self.params])
@@ -97,8 +96,8 @@ class AdamW:
         for _, p in self.params:
             p.grad = None
 
-    def step(self, lr: float | None = None):
-        lr = float(self.lr if lr is None else lr)
+    def step(self, lr: float):
+        lr = float(lr)
         g = _flat_grads(self.params)
         if not np.isfinite(g).all():
             name = self.params[np.searchsorted(self._ends, np.argmin(np.isfinite(g)), side="right")][0]
@@ -167,7 +166,7 @@ class RunReport:
     final_train_rel_l2: float | None = None
     eval_spearman: float | None = None
     wall_time_s: float | None = None
-    peak_alloc_bytes: int | None = None
+    alloc_bytes: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -218,8 +217,7 @@ def train(
     check_training_values(steps=steps, lr=lr, weight_decay=weight_decay, clip_norm=clip_norm)
     model = PgotModel(config)
     check_dims(config, samples)
-    model.training = True
-    opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
+    opt = AdamW(model.parameters(), weight_decay=weight_decay)
     views = _normalized_views(samples, stats)
     report = RunReport(config_hash=config.hash(), seed=config.seed, steps=steps)
     start = time.perf_counter()
@@ -230,14 +228,14 @@ def train(
     for step in range(steps):
         a_norm, coords, u_norm = views[step % n]
         with Tape() as tape:
-            pred = model.predict(a_norm, coords)
+            pred = model.predict(a_norm, coords, training=True)
             loss = relative_l2_loss(pred, u_norm)
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericalError(f"loss became non-finite at step {step}, on sample {step % n}")
             tape.backward(loss)
         clip_grad_norm(opt.params, clip_norm)
-        opt.step(lr=cosine_lr(step, steps, lr))
+        opt.step(cosine_lr(step, steps, lr))
         opt.zero_grad()
         epoch_losses.append(value)
         if (step + 1) % n == 0 or step == steps - 1:
@@ -245,14 +243,11 @@ def train(
             epoch_losses = []
         # an evaluation only picks which epoch the checkpoint holds, so without one only the last is needed
         if step == steps - 1 or (checkpoint_path is not None and (step + 1) % n == 0):
-            model.training = False
             metrics = evaluate(model, samples, stats)
-            model.training = True
             if checkpoint_path is not None and metrics["rel_l2"] < best_eval:
                 best_eval = metrics["rel_l2"]
                 save_checkpoint(model, checkpoint_path)
-    model.training = False
-    report.peak_alloc_bytes = engine.alloc_stats()["bytes"]
+    report.alloc_bytes = engine.alloc_stats()["bytes"]
     report.wall_time_s = time.perf_counter() - start
     # the last step is always evaluated, so `metrics` holds the final parameters' scores
     report.final_train_rel_l2 = metrics["rel_l2"]
@@ -271,7 +266,8 @@ def evaluate(model: PgotModel, samples: list[Sample], stats: NormStats) -> dict:
     Samples that share their coordinates are predicted together, as one
     stack per forward pass; each keeps the bits of its own ``predict``.
     The rank functional is the per-sample mean target vs mean prediction;
-    Spearman is reported as None when fewer than 3 samples are given.
+    Spearman is reported as None when fewer than 3 samples are given or
+    when all per-sample means tie.
     """
     if not samples:
         raise ConfigError("evaluation requires a non-empty dataset")

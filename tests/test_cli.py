@@ -496,17 +496,24 @@ class TestCheckpointConfig:
 
 class TestInspect:
     @pytest.mark.parametrize(
-        "switch,written",
-        [("disable_tdf", ["layer0_assignment.csv"]), ("dense_attention", ["layer0_gate.csv"])],
+        "switches,written",
+        [
+            ("disable_tdf", ["layer0_assignment.csv"]),
+            ("dense_attention", ["layer0_gate.csv"]),
+            ("dense_attention+disable_tdf", []),
+        ],
     )
-    def test_ablation_writes_only_existing_dumps(self, tmp_path, switch, written):
+    def test_ablation_writes_only_existing_dumps(self, tmp_path, capsys, switches, written):
         data = run_gen(tmp_path)
         sample = sorted(p for p in data.iterdir() if p.suffix == ".pgds")[0]
         path = tmp_path / "m.pgck"
-        save_checkpoint(PgotModel(ModelConfig(**DESK_CONFIG["model"], **{switch: True})), path)
+        config = ModelConfig(**DESK_CONFIG["model"], **dict.fromkeys(switches.split("+"), True))
+        save_checkpoint(PgotModel(config), path)
         dump = tmp_path / "dump"
+        capsys.readouterr()
         assert main(["inspect", "--checkpoint", str(path), "--sample", str(sample), "--out", str(dump)]) == 0
         assert sorted(p.name for p in dump.iterdir()) == written
+        assert capsys.readouterr().out == f"wrote {len(written)} inspection dumps to {dump}\n"
 
     def test_dump_contents(self, tmp_path, config_path):
         data = run_gen(tmp_path)
@@ -541,10 +548,9 @@ class TestInspect:
         # the dumps are what the model computes on the input normalized as `pgot eval` normalizes it
         stats = NormStats.from_dict(read_manifest(data / "manifest.json")["normalization"])
         model = load_checkpoint(run_dir / "checkpoint.pgck")
-        model.set_inspection(True)
-        model.predict(normalize(src.input, stats.input_mean, stats.input_std), src.coords)
-        assert np.array_equal(weights, model.blocks[0].attn.last_assignment)
-        assert np.array_equal(values, model.blocks[0].ffn.last_gate)
+        dumps = model.inspect(normalize(src.input, stats.input_mean, stats.input_std), src.coords)
+        assert np.array_equal(weights, dumps["layer0_assignment"])
+        assert np.array_equal(values, dumps["layer0_gate"])
 
     def test_sample_without_manifest_exit_3(self, tmp_path, capsys):
         sample = sorted(p for p in run_gen(tmp_path).iterdir() if p.suffix == ".pgds")[0]

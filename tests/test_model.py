@@ -10,7 +10,6 @@ from pgot.errors import ConfigError, NumericalError
 from pgot.model import (
     ModelConfig,
     PgotModel,
-    count_params,
     load_checkpoint,
     save_checkpoint,
 )
@@ -175,6 +174,50 @@ class TestStackedPredict:
             PgotModel(TINY).predict(np.zeros(shape, dtype=np.float32), Rng(2).random((10, 2)))
 
 
+
+def held(model):
+    """Each inspectable layer's switch, and whether it holds an array."""
+    return [
+        (layer.cache_enabled, getattr(layer, attr) is not None)
+        for block in model.blocks
+        for layer, attr in ((block.attn, "last_assignment"), (block.ffn, "last_gate"))
+    ]
+
+
+class TestInspect:
+    def test_keys_in_block_order_and_nothing_kept(self):
+        model = PgotModel(ModelConfig(seed=19))
+        a, g = random_sample(Rng(20))
+        dumps = model.inspect(a, g)
+        assert list(dumps) == ["layer0_assignment", "layer0_gate", "layer1_assignment", "layer1_gate"]
+        assert dumps["layer1_assignment"].shape == (12, 8) and dumps["layer1_gate"].shape == (12, 32)
+        assert np.allclose(dumps["layer0_assignment"].sum(axis=1), 1.0, atol=1e-5)
+        assert held(model) == [(False, False)] * 4
+        model.predict(a, g)
+        assert held(model) == [(False, False)] * 4
+
+    def test_nothing_kept_after_a_failed_predict(self):
+        model = PgotModel(ModelConfig(seed=19))
+        dict(model.parameters())["lift.fc1.w"].data[...] = 3e38
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            model.inspect(*random_sample(Rng(20)))
+        assert held(model) == [(False, False)] * 4
+
+    @pytest.mark.parametrize("switch,kind", [("disable_tdf", "assignment"), ("dense_attention", "gate")])
+    def test_ablation_gives_only_existing_keys(self, switch, kind):
+        dumps = PgotModel(ModelConfig(**{switch: True})).inspect(*random_sample(Rng(20)))
+        assert list(dumps) == [f"layer0_{kind}", f"layer1_{kind}"]
+
+    def test_dropout_draws_only_in_training(self):
+        model = PgotModel(ModelConfig(dropout=0.3, seed=19))
+        a, g = random_sample(Rng(20))
+        state = str(model._dropout_rng._gen.bit_generator.state)
+        model.predict(a, g)
+        assert str(model._dropout_rng._gen.bit_generator.state) == state
+        model.predict(a, g, training=True)
+        assert str(model._dropout_rng._gen.bit_generator.state) != state
+
+
 class TestBlocks:
     def test_zero_nonresidual_weights_is_identity(self):
         model = PgotModel(ModelConfig(layers=1, seed=8))
@@ -203,6 +246,10 @@ class TestBlocks:
         assert isinstance(block.ffn, PlainFFN)
         assert isinstance(block.attn, SpecGeoAttention)
         assert block.attn.bank is None
+
+
+def count_params(config: ModelConfig) -> int:
+    return sum(p.size for _, p in PgotModel(config).parameters())
 
 
 class TestCountParams:
@@ -263,7 +310,7 @@ class TestCheckpoint:
         model = PgotModel(ModelConfig(seed=21))
         save_checkpoint(model, tmp_path / "m.pgck")
         loaded = load_checkpoint(tmp_path / "m.pgck")
-        AdamW(loaded.parameters(), weight_decay=1e-4).step()
+        AdamW(loaded.parameters(), weight_decay=1e-4).step(1e-3)
         save_checkpoint(loaded, tmp_path / "stepped.pgck")
         reloaded = load_checkpoint(tmp_path / "stepped.pgck")
         # weight decay moves every nonzero parameter in place

@@ -169,36 +169,42 @@ def set_grads(params, grads):
 class TestAdamW:
     def test_single_step_direction_and_size(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW([("x", x)], lr=1e-3, weight_decay=0.0)
+        opt = AdamW([("x", x)], weight_decay=0.0)
         x.grad = np.array([2.0], dtype=np.float32)  # d/dx x^2 at x=1
-        opt.step()
+        opt.step(1e-3)
         # bias-corrected first step moves by ~lr regardless of grad scale
         assert abs((1.0 - x.data[0]) - 1e-3) < 1e-6
 
+    def test_step_needs_a_rate(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        x.grad = np.array([2.0], dtype=np.float32)
+        with pytest.raises(TypeError):
+            AdamW([("x", x)]).step()
+
     def test_decoupled_decay_with_zero_grad(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        opt = AdamW([("x", x)], lr=0.1, weight_decay=0.5)
+        opt = AdamW([("x", x)], weight_decay=0.5)
         x.grad = np.zeros(1, dtype=np.float32)
-        opt.step()
+        opt.step(0.1)
         assert abs(x.data[0] - 2.0 * (1 - 0.1 * 0.5)) < 1e-6
 
     def test_nan_grad_aborts_with_name(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW([("weights.x", x)], lr=0.1)
+        opt = AdamW([("weights.x", x)])
         x.grad = np.array([np.nan], dtype=np.float32)
         with pytest.raises(NumericalError, match="weights.x"):
-            opt.step()
+            opt.step(0.1)
 
     def test_deterministic_over_100_steps(self):
         def run():
             rng = Rng(4)
             x = Tensor(rng.uniform(-1, 1, (5,)), requires_grad=True)
-            opt = AdamW([("x", x)], lr=1e-2, weight_decay=1e-2)
+            opt = AdamW([("x", x)], weight_decay=1e-2)
             for _ in range(100):
                 with Tape() as tape:
                     loss = relative_l2_loss(x * x, np.ones(5, dtype=np.float32))
                     tape.backward(loss)
-                opt.step()
+                opt.step(1e-2)
                 opt.zero_grad()
             return x.data.tobytes()
 
@@ -217,7 +223,7 @@ class TestAdamW:
     def test_matches_per_tensor_reference_bit_for_bit(self):
         new, old = PgotModel(ModelConfig(seed=0)).parameters(), PgotModel(ModelConfig(seed=0)).parameters()
         assert len(new) == 66
-        opt = AdamW(new, lr=1e-3, weight_decay=1e-4)
+        opt = AdamW(new, weight_decay=1e-4)
         ref = ReferenceAdamW(old, lr=1e-3, weight_decay=1e-4)
         rng = Rng(11)
         missing = {new[3][0], new[40][0]}
@@ -243,7 +249,7 @@ class TestAdamW:
 
     def test_failed_step_changes_nothing(self):
         params = PgotModel(ModelConfig(seed=0)).parameters()
-        opt = AdamW(params, lr=1e-3, weight_decay=1e-4)
+        opt = AdamW(params, weight_decay=1e-4)
         rng = Rng(12)
         grads = random_grads(params, rng)
         before = [p.data.copy() for _, p in params]
@@ -251,18 +257,18 @@ class TestAdamW:
         bad[-1][0] = np.nan
         set_grads(params, bad)
         with pytest.raises(NumericalError, match=params[-1][0]) as info:
-            opt.step()
+            opt.step(1e-3)
         assert info.value.param == params[-1][0]
         for (name, p), b in zip(params, before):
             assert np.array_equal(p.data, b), name
         assert opt.step_count == 0
         assert not opt.m.any() and not opt.v.any()
         set_grads(params, grads)
-        opt.step()
+        opt.step(1e-3)
         fresh = PgotModel(ModelConfig(seed=0)).parameters()
-        fresh_opt = AdamW(fresh, lr=1e-3, weight_decay=1e-4)
+        fresh_opt = AdamW(fresh, weight_decay=1e-4)
         set_grads(fresh, grads)
-        fresh_opt.step()
+        fresh_opt.step(1e-3)
         for (name, p), (_, q) in zip(params, fresh):
             assert np.array_equal(p.data, q.data), name
         assert np.array_equal(opt.m, fresh_opt.m) and np.array_equal(opt.v, fresh_opt.v)
@@ -310,7 +316,9 @@ class TestTrainLoop:
         predict, calls = PgotModel.predict, itertools.count()
         # finite predictions near 1e20 at step 5 of 4 samples: their squares overflow float32, so the loss is inf
         monkeypatch.setattr(
-            PgotModel, "predict", lambda self, a, coords: predict(self, a, coords) * (1e20 if next(calls) == 5 else 1.0)
+            PgotModel,
+            "predict",
+            lambda self, *args, **kw: predict(self, *args, **kw) * (1e20 if next(calls) == 5 else 1.0),
         )
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite at step 5, on sample 1$"):
             train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, steps=8)

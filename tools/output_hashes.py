@@ -10,11 +10,10 @@ Each output is computed in float32 mode (``f32/`` names) and inside
 * ``bench.random_cloud.N<n>``: ``bench._random_cloud`` from bench's fixed seed;
 * ``fwdbwd.<config>.N<n>``: the predictions and every parameter gradient of two
   fwd+bwd passes, for the default config, a ``d_a=2, d_u=3, slices=5`` config, a
-  ``dropout=0.3, gate_force="half"`` config in training mode, and a ``layers=8``
-  config, whose tape holds four times as many block records;
-* ``inspect.desk.N<n>``: after a ``predict`` of a default model with ``set_inspection(True)``,
-  every block's ``attn.last_assignment`` followed by its ``ffn.last_gate``, the arrays
-  ``pgot inspect`` dumps;
+  ``dropout=0.3, gate_force="half"`` config predicted with ``training=True``, and a
+  ``layers=8`` config, whose tape holds four times as many block records;
+* ``inspect.desk.N<n>``: the arrays ``PgotModel.inspect`` gives for a default model, in
+  its key order (every block's slice assignment, then its gate): what ``pgot inspect`` dumps;
 * ``eval.poisson2d`` and ``eval.pointcloud_stress``: the JSON of ``evaluate``'s dict for a
   seed-5 default model on ``gen_poisson2d(7, 16, 8)`` (one mesh) and for a seed-5 ``d_a=2``
   model on ``gen_pointcloud_stress(3, 64, 3)`` (a mesh each);
@@ -29,6 +28,9 @@ bytes; a missing gradient is hashed as an empty array. Run it with each version'
     PYTHONPATH=src python3 tools/output_hashes.py > new.txt
     PYTHONPATH=../parent/src python3 tools/output_hashes.py > old.txt
     diff old.txt new.txt
+
+A version without ``predict(..., training=)`` and ``PgotModel.inspect`` is hashed with its
+own copy of this tool (``../parent/tools/output_hashes.py``); CI does the same.
 
 ``--sizes`` picks the mesh sizes (default 37,1023,8192).
 """
@@ -82,12 +84,11 @@ def cloud(n: int, config: ModelConfig):
 
 def fwdbwd(config: ModelConfig, training: bool, n: int) -> str:
     model = PgotModel(config)
-    model.training = training
     a, coords, target = cloud(n, config)
     arrays = []
     for _ in range(2):
         with Tape() as tape:
-            pred = model.predict(a, coords)
+            pred = model.predict(a, coords, training=training)
             tape.backward(relative_l2_loss(pred, target))
         arrays.append(pred.data)
         arrays.extend(p.grad for _, p in model.parameters())
@@ -97,11 +98,8 @@ def fwdbwd(config: ModelConfig, training: bool, n: int) -> str:
 
 def inspect(n: int) -> str:
     config = ModelConfig()
-    model = PgotModel(config)
-    model.set_inspection(True)
     a, coords, _ = cloud(n, config)
-    model.predict(a, coords)
-    return digest(*(arr for block in model.blocks for arr in (block.attn.last_assignment, block.ffn.last_gate)))
+    return digest(*PgotModel(config).inspect(a, coords).values())
 
 
 def evaluation(config: ModelConfig, samples) -> str:
