@@ -1,8 +1,8 @@
 """Command-line entry point: data generation, training, evaluation,
 benchmarking, and inspection export.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage/config error,
+3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .model import ModelConfig, check_dims, load_checkpoint
 from .training import check_training_values, evaluate, train
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
@@ -199,7 +201,13 @@ def main(argv=None) -> int:
         _check_flags(args)
         # numpy's floating-point warnings would add stderr lines; non-finite results meet explicit checks
         with np.errstate(all="ignore"):
-            return args.fn(args)
+            code = args.fn(args)
+        sys.stdout.flush()  # stdout to a pipe is block-buffered, so a reader that left shows here
+        return code
+    except BrokenPipeError:
+        # no data error: the Python docs' SIGPIPE note points stdout at devnull, so the exit's flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ConfigError as exc:
         return _fail("config error", exc, EXIT_CONFIG)
     except MemoryError as exc:

@@ -92,17 +92,17 @@ class AdamW:
             p.data = self.flat[a:b].reshape(p.shape)
         self.m, self.v = np.zeros(self.flat.size), np.zeros(self.flat.size)
 
-    def zero_grad(self):
-        for _, p in self.params:
-            p.grad = None
-
-    def step(self, lr: float):
+    def step(self, lr: float, max_norm: float = math.inf) -> float:
+        """Clip the gradients jointly to ``max_norm``, apply and clear them; return their norm before clipping."""
         lr = float(lr)
-        g = _flat_grads(self.params)
+        grads = [np.zeros(p.size) if p.grad is None else p.grad.ravel() for _, p in self.params]
+        g = np.concatenate(grads, dtype=self.flat.dtype)  # a missing gradient reads as zeros
         if not np.isfinite(g).all():
             name = self.params[np.searchsorted(self._ends, np.argmin(np.isfinite(g)), side="right")][0]
             raise NumericalError(f"NaN/Inf gradient for parameter {name}", param=name)
         # all that can raise comes before the first write, so a failed step changes nothing
+        norm = clip_grad_norm(g, self._ends, max_norm)
+        g = g.astype(np.float64, copy=False)  # the moments update in float64
         decay = np.asarray(1.0 - lr * self.weight_decay, dtype=self.flat.dtype)
         self.step_count += 1
         bc1, bc2 = 1.0 - BETA1**self.step_count, 1.0 - BETA2**self.step_count
@@ -113,21 +113,18 @@ class AdamW:
         self.flat *= decay  # exact when weight_decay is 0
         update = (self.m / bc1) / (np.sqrt(self.v / bc2) + EPS)
         self.flat[:] = self.flat - lr * update
+        for _, p in self.params:
+            p.grad = None
+        return norm
 
 
-def _flat_grads(params) -> np.ndarray:
-    """All gradients as one float64 vector in list order; a missing gradient reads as zeros."""
-    return np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.ravel() for _, p in params], dtype=np.float64)
-
-
-def clip_grad_norm(params, max_norm: float) -> float:
-    squares, ends = _flat_grads(params) ** 2, list(itertools.accumulate(p.size for _, p in params))
+def clip_grad_norm(grads: np.ndarray, ends, max_norm: float) -> float:
+    """Scale ``grads`` in place to norm <= ``max_norm``; return the norm before. ``ends`` splits it by parameter."""
+    squares = np.square(grads, dtype=np.float64)
     # one sum per parameter, added in list order, keeps the per-tensor loop's bits; np.add.reduceat does not
     norm = math.sqrt(np.cumsum([squares[a:b].sum() for a, b in zip([0, *ends], ends)])[-1])
     if norm > max_norm and norm > 0.0:
-        for _, p in params:
-            if p.grad is not None:
-                p.grad = (p.grad * (max_norm / norm)).astype(p.grad.dtype)
+        grads *= max_norm / norm  # in the storage dtype, as each gradient was once scaled on its own
     return norm
 
 
@@ -182,19 +179,6 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_views(samples: list[Sample], stats: NormStats):
-    views = []
-    for s in samples:
-        views.append(
-            (
-                normalize(s.input, stats.input_mean, stats.input_std),
-                s.coords,
-                normalize(s.target, stats.target_mean, stats.target_std),
-            )
-        )
-    return views
-
-
 def train(
     config: ModelConfig,
     samples: list[Sample],
@@ -208,9 +192,11 @@ def train(
     """Step-based training on the relative-L2 loss with cosine lr decay.
 
     One step is one optimizer update on one sample, cycling through the
-    train set. With a ``checkpoint_path``, each epoch ends with an evaluation
-    on the train set and the checkpoint is written at the best one; without
-    one, only the last step is evaluated. The report gives the last.
+    train set: one ``AdamW.step`` clips the gradients to a global norm of
+    ``clip_norm``, applies them and clears them. With a
+    ``checkpoint_path``, each epoch ends with an evaluation on the train set
+    and the checkpoint is written at the best one; without one, only the
+    last step is evaluated. The report gives the last.
     """
     if not samples:
         raise ConfigError("training requires a non-empty dataset")
@@ -218,7 +204,8 @@ def train(
     model = PgotModel(config)
     check_dims(config, samples)
     opt = AdamW(model.parameters(), weight_decay=weight_decay)
-    views = _normalized_views(samples, stats)
+    norm_in, norm_out = (stats.input_mean, stats.input_std), (stats.target_mean, stats.target_std)
+    views = [(normalize(s.input, *norm_in), s.coords, normalize(s.target, *norm_out)) for s in samples]
     report = RunReport(config_hash=config.hash(), seed=config.seed, steps=steps)
     start = time.perf_counter()
     best_eval = math.inf
@@ -234,9 +221,7 @@ def train(
             if not math.isfinite(value):
                 raise NumericalError(f"loss became non-finite at step {step}, on sample {step % n}")
             tape.backward(loss)
-        clip_grad_norm(opt.params, clip_norm)
-        opt.step(cosine_lr(step, steps, lr))
-        opt.zero_grad()
+        opt.step(cosine_lr(step, steps, lr), clip_norm)
         epoch_losses.append(value)
         if (step + 1) % n == 0 or step == steps - 1:
             report.epoch_losses.append(float(np.mean(epoch_losses)))

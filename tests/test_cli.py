@@ -632,3 +632,26 @@ def test_subprocess_one_stderr_line(tmp_path, config_path, case):
     )
     assert result.returncode == code, result.stderr
     assert result.stderr.count("\n") == 1, result.stderr
+
+
+def test_closed_stdout_is_no_data_error(tmp_path):
+    """`pgot gen ... | head -0`: the reader of stdout is gone before the summary line is written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(pgot.__file__).parents[1])}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pgot.cli", *GEN_ARGS],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
+    samples, _ = read_dataset(tmp_path / "out")
+    assert len(samples) == 1

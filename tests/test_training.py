@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from pgot import training
+from pgot import engine, training
 from pgot.data import compute_stats, denormalize, gen_pointcloud_stress, gen_poisson2d, normalize
 from pgot.engine import Rng, Tape, Tensor
 from pgot.errors import ConfigError, MetricError, NumericalError
@@ -205,47 +206,45 @@ class TestAdamW:
                     loss = relative_l2_loss(x * x, np.ones(5, dtype=np.float32))
                     tape.backward(loss)
                 opt.step(1e-2)
-                opt.zero_grad()
             return x.data.tobytes()
 
         assert run() == run()
 
     def test_clip_grad_norm(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        x.grad = np.array([30.0], dtype=np.float32)
-        y = Tensor(np.array([1.0]), requires_grad=True)
-        y.grad = np.array([40.0], dtype=np.float32)
-        norm = clip_grad_norm([("x", x), ("y", y)], 5.0)
+        grads = np.array([30.0, 40.0], dtype=np.float32)
+        norm = clip_grad_norm(grads, [1, 2], 5.0)
         assert abs(norm - 50.0) < 1e-5
-        assert abs(x.grad[0] - 3.0) < 1e-5
-        assert abs(y.grad[0] - 4.0) < 1e-5
+        assert abs(grads[0] - 3.0) < 1e-5
+        assert abs(grads[1] - 4.0) < 1e-5
+        assert grads.dtype == np.float32
 
-    def test_matches_per_tensor_reference_bit_for_bit(self):
-        new, old = PgotModel(ModelConfig(seed=0)).parameters(), PgotModel(ModelConfig(seed=0)).parameters()
-        assert len(new) == 66
-        opt = AdamW(new, weight_decay=1e-4)
-        ref = ReferenceAdamW(old, lr=1e-3, weight_decay=1e-4)
-        rng = Rng(11)
-        missing = {new[3][0], new[40][0]}
-        clipped = []
-        for step in range(30):
-            grads = random_grads(new, rng, missing)
-            # a norm near 120: max_norm 1e3 leaves the gradients alone, 10 scales every one
-            max_norm = 1e3 if step % 2 else 10.0
-            set_grads(new, grads)
-            set_grads(old, grads)
-            norm = clip_grad_norm(new, max_norm)
-            assert norm == reference_clip_grad_norm(old, max_norm)
-            clipped.append(norm > max_norm)
-            lr = cosine_lr(step, 30, 1e-3)
-            opt.step(lr)
-            ref.step(lr)
-            for (name, p), (_, q) in zip(new, old):
-                assert p.data.dtype == q.data.dtype and np.array_equal(p.data, q.data), (step, name)
-            assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref._m.values()])), step
-            assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref._v.values()])), step
-        assert opt.step_count == ref.step_count == 30
-        assert any(clipped) and not all(clipped)
+    @pytest.mark.parametrize("mode", [contextlib.nullcontext, engine.float64_mode], ids=["float32", "float64_mode"])
+    def test_matches_per_tensor_reference_bit_for_bit(self, mode):
+        with mode():
+            new, old = PgotModel(ModelConfig(seed=0)).parameters(), PgotModel(ModelConfig(seed=0)).parameters()
+            assert len(new) == 66
+            opt = AdamW(new, weight_decay=1e-4)
+            ref = ReferenceAdamW(old, lr=1e-3, weight_decay=1e-4)
+            rng = Rng(11)
+            missing = {new[3][0], new[40][0]}
+            clipped = []
+            for step in range(30):
+                grads = random_grads(new, rng, missing)
+                # a norm near 120: max_norm 1e3 leaves the gradients alone, 10 scales every one
+                max_norm = 1e3 if step % 2 else 10.0
+                set_grads(new, grads)
+                set_grads(old, grads)
+                lr = cosine_lr(step, 30, 1e-3)
+                norm = opt.step(lr, max_norm)
+                assert norm == reference_clip_grad_norm(old, max_norm)
+                clipped.append(norm > max_norm)
+                ref.step(lr)
+                for (name, p), (_, q) in zip(new, old):
+                    assert p.data.dtype == q.data.dtype and np.array_equal(p.data, q.data), (step, name)
+                assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref._m.values()])), step
+                assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref._v.values()])), step
+            assert opt.step_count == ref.step_count == 30
+            assert any(clipped) and not all(clipped)
 
     def test_failed_step_changes_nothing(self):
         params = PgotModel(ModelConfig(seed=0)).parameters()
@@ -273,6 +272,37 @@ class TestAdamW:
             assert np.array_equal(p.data, q.data), name
         assert np.array_equal(opt.m, fresh_opt.m) and np.array_equal(opt.v, fresh_opt.v)
         assert opt.step_count == fresh_opt.step_count == 1
+
+    def test_step_clears_every_gradient(self):
+        params = PgotModel(ModelConfig(seed=0)).parameters()
+        opt = AdamW(params, weight_decay=1e-4)
+        set_grads(params, random_grads(params, Rng(13), missing={params[5][0]}))
+        opt.step(1e-3, 10.0)
+        assert all(p.grad is None for _, p in params)
+
+    def test_inf_gradient_changes_nothing(self):
+        """A failed step leaves the gradients as they were too: none is clipped before the check."""
+        params = PgotModel(ModelConfig(seed=0)).parameters()
+        opt = AdamW(params, weight_decay=1e-4)
+        rng = Rng(14)
+        set_grads(params, random_grads(params, rng))
+        opt.step(1e-3, 1.0)
+        grads = random_grads(params, rng, missing={params[2][0]})
+        grads[30][0] = np.inf
+        set_grads(params, grads)
+        before = [p.data.copy() for _, p in params]
+        m, v = opt.m.copy(), opt.v.copy()
+        with pytest.raises(NumericalError, match=params[30][0]) as info:
+            opt.step(1e-3, 1.0)
+        assert info.value.param == params[30][0]
+        for (name, p), b, g in zip(params, before, grads):
+            assert np.array_equal(p.data, b), name
+            if g is None:
+                assert p.grad is None, name
+            else:
+                assert p.grad.dtype == g.dtype and np.array_equal(p.grad, g), name
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+        assert opt.step_count == 1
 
     def test_cosine_schedule_endpoints(self):
         assert cosine_lr(0, 100, 1e-3) == pytest.approx(1e-3)

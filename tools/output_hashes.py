@@ -19,7 +19,9 @@ Each output is computed in float32 mode (``f32/`` names) and inside
   model on ``gen_pointcloud_stress(3, 64, 3)`` (a mesh each);
 * ``train.checkpoint`` and ``train.report``: a 24-step ``train`` on the Poisson samples
   (the report without ``wall_time_s``);
-* ``load.checkpoint``: the parameters ``load_checkpoint`` gives for that checkpoint.
+* ``load.checkpoint``: the parameters ``load_checkpoint`` gives for that checkpoint;
+* ``train.clipped.checkpoint`` and ``train.clipped.report``: the same ``train`` with
+  ``clip_norm=0.05``, so every step clips its gradients.
 
 A hash is the first 16 hex digits of a SHA-256 over each array's dtype, shape and
 bytes; a missing gradient is hashed as an empty array. Run it with each version's
@@ -107,6 +109,14 @@ def evaluation(config: ModelConfig, samples) -> str:
     return digest(np.frombuffer(json.dumps(metrics, sort_keys=True).encode(), dtype=np.uint8))
 
 
+def trained(name: str, samples, ckpt: Path, **options):
+    """The checkpoint and the report (without ``wall_time_s``) of a 24-step ``train``."""
+    _, report = train(ModelConfig(), samples, compute_stats(samples), steps=24, checkpoint_path=ckpt, **options)
+    yield f"{name}.checkpoint", digest(np.frombuffer(ckpt.read_bytes(), dtype=np.uint8))
+    fields = {k: v for k, v in report.to_dict().items() if k != "wall_time_s"}
+    yield f"{name}.report", digest(np.frombuffer(json.dumps(fields, sort_keys=True).encode(), dtype=np.uint8))
+
+
 def hashes(sizes: list[int], workdir: Path):
     poisson = gen_poisson2d(7, 16, 2)
     yield "gen.poisson2d", digest(*sample_arrays(poisson))
@@ -125,11 +135,9 @@ def hashes(sizes: list[int], workdir: Path):
     yield "eval.poisson2d", evaluation(ModelConfig(seed=5), gen_poisson2d(7, 16, 8))
     yield "eval.pointcloud_stress", evaluation(ModelConfig(d_a=2, seed=5), gen_pointcloud_stress(3, 64, 3))
     ckpt = workdir / "checkpoint.pgck"
-    _, report = train(ModelConfig(), poisson, compute_stats(poisson), steps=24, checkpoint_path=ckpt)
-    yield "train.checkpoint", digest(np.frombuffer(ckpt.read_bytes(), dtype=np.uint8))
-    fields = {k: v for k, v in report.to_dict().items() if k != "wall_time_s"}
-    yield "train.report", digest(np.frombuffer(json.dumps(fields, sort_keys=True).encode(), dtype=np.uint8))
+    yield from trained("train", poisson, ckpt)
     yield "load.checkpoint", digest(*(p.data for _, p in load_checkpoint(ckpt).parameters()))
+    yield from trained("train.clipped", poisson, workdir / "clipped.pgck", clip_norm=0.05)
 
 
 def main(argv=None) -> None:
