@@ -31,8 +31,11 @@ and normalized coordinates are float32 in both modes.
 
 Every tensor that needs a gradient has one ``_Node`` (pending gradient and
 dtype): a parameter from its construction, an op output from its recording.
-The tape holds nodes, not tensors; backward closures keep only the arrays
-they read, so an op output that no backward reads dies with its last user.
+The tape holds nodes, not tensors; backward closures keep the fewest arrays
+their backward needs, so an op output that no backward reads dies with its
+last user. GELU keeps one array, its derivative, which it computes in the
+forward pass only when the op is recorded; it holds neither its input nor
+its ``cdf``.
 
 Importing this module tells glibc's malloc to keep freed memory in the
 process (see ``_keep_freed_memory``): a large pass then reuses the previous
@@ -332,11 +335,15 @@ class Tape:
         self._records.clear()
 
 
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` is recorded: a tape is current and some parent needs a gradient."""
+    return Tape.current is not None and any(p._node is not None for p in parents)
+
+
 def _make(out_data, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     out = Tensor(out_data)
-    tape = Tape.current
-    if tape is not None and any(p._node is not None for p in parents):
-        tape.record(out, tuple(parents), backward_fn)
+    if _recording(parents):
+        Tape.current.record(out, tuple(parents), backward_fn)
     return out
 
 
@@ -470,16 +477,18 @@ def gelu(a: Tensor) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     data = x * cdf
+    if not _recording((a,)):
+        return Tensor(data)
+    # backward reads only the derivative cdf + x*pdf: the record holds neither x nor cdf
+    d = x * x
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= x
+    d += cdf
 
     def bwd(g):
-        d = x * x
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= _INV_SQRT2PI
-        d *= x
-        d += cdf
-        d *= g
-        return (d,)
+        return (d * g,)
 
     return _make(data, (a,), bwd)
 
@@ -524,7 +533,7 @@ def dropout(a: Tensor, rate: float, rng: Rng, training: bool) -> Tensor:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype)
+    keep = rng.random(a.data.shape) >= rate  # bool: 1 B per element held until backward
     scale = 1.0 / (1.0 - rate)
     data = a.data * keep * scale
 
