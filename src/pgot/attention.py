@@ -74,7 +74,7 @@ class SpecGeoAttention(Module):
         self.wf = Linear(rng, width, width, bias=False)
         self.prototypes = init_uniform(rng, width, (slices, width))
         # softplus(raw) == 0.5 at init
-        self.tau_raw = engine.parameter(np.full((1,), math.log(math.expm1(0.5))))
+        self.tau_raw = Tensor(np.full((1,), math.log(math.expm1(0.5))), requires_grad=True)
         self.bank = GeometricEncoderBank(rng, d, width, scales) if use_geometry else None
         self.mhsa = LatentMhsa(rng, width, heads)
         self.cache_enabled = False

@@ -43,8 +43,8 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
     try:
         with open(path, "rb") as fh:
             raw = read_json_object(fh.read(), "config file", ConfigError)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable: the config is at fault, not the data
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     model_config = ModelConfig.from_dict(raw.get("model"))
     training = require_object(raw.get("training", {}), '"training"', ConfigError)
     check_training_values(**training)
@@ -87,7 +87,7 @@ def cmd_eval(args) -> int:
     metrics = evaluate(model, samples, stats)
     rho = "n/a" if metrics["spearman"] is None else f"{metrics['spearman']:.4f}"
     print(f"relative L2: {metrics['rel_l2']:.6f}  spearman rho: {rho}")
-    print(json.dumps({"rel_l2": metrics["rel_l2"], "spearman": metrics["spearman"]}, sort_keys=True))
+    print(json.dumps(metrics, sort_keys=True))
     return EXIT_OK
 
 

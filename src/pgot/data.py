@@ -317,6 +317,8 @@ def read_json_object(raw: bytes, what: str, error: type[Exception] = DataError) 
         value = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past Python's 4300-digit limit
         raise error(f"{what} is not UTF-8 JSON: {exc}") from None
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise error(f"{what} is nested too deeply") from None
     return require_object(value, what, error)
 
 

@@ -60,8 +60,6 @@ __all__ = [
     "ShapeError",
     "ParameterError",
     "ContractError",
-    "constant",
-    "parameter",
     "float64_mode",
     "reset_alloc_stats",
     "alloc_stats",
@@ -177,8 +175,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+        self._gen = np.random.Generator(np.random.Philox(key=int(seed)))
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
         """float32 draws in both precision modes, so ``float64_mode`` changes no generated data."""
@@ -255,14 +252,6 @@ class Tensor:
         return _getitem(self, index)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
 def _wrap(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
@@ -316,11 +305,10 @@ class Tape:
         if not any(out is loss._node for out, _, _ in reversed(self._records)):
             raise ContractError("loss was not recorded on this tape")
         loss._node.grad = np.ones_like(loss.data)
-        for i in range(len(self._records) - 1, -1, -1):
-            out, parents, backward_fn = self._records[i]
-            # every consumer of `out` sits later on the tape, so its grad is
-            # final here; release the record to keep peak memory bounded
-            self._records[i] = None
+        # every consumer of `out` sits later on the tape, so its grad is final
+        # here; the pop frees the record, and with it its closure's arrays
+        while self._records:
+            out, parents, backward_fn = self._records.pop()
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
@@ -332,7 +320,6 @@ class Tape:
                     parent.grad = np.ascontiguousarray(g, dtype=parent.dtype)
                 else:
                     parent.grad = parent.grad + g
-        self._records.clear()
 
 
 def _recording(parents: Sequence[Tensor]) -> bool:

@@ -57,12 +57,12 @@ class TaylorDecompFFN(Module):
         if fill is None:
             alpha = self.spatial_gate(gate_feats)
         else:
-            alpha = engine.constant(np.full((*x.shape[:-1], self.width), fill))
+            alpha = Tensor(np.full((*x.shape[:-1], self.width), fill))
         if self.cache_enabled:
             self.last_gate = alpha.data
         f_lin = self.linear_expert(x, rng, training)
         f_non = self.nonlinear_expert(x)
-        one = engine.constant(np.ones((), dtype=alpha.data.dtype))
+        one = Tensor(np.ones((), dtype=alpha.data.dtype))
         return (one - alpha) * f_lin + alpha * f_non
 
 

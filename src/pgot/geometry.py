@@ -66,7 +66,7 @@ class GeometricEncoderBank(Module):
     def __call__(self, coords_norm: np.ndarray) -> Tensor:
         feats = []
         for s, enc in enumerate(self.encoders):
-            scaled = engine.constant(self.scale_input(s, coords_norm))
+            scaled = Tensor(self.scale_input(s, coords_norm))
             feats.append(enc(scaled))
         fused = self.fuse(engine.concat(feats, axis=-1))
         return engine.gelu(fused)

@@ -11,7 +11,7 @@ from .engine import Rng, Tensor
 def init_uniform(rng: Rng, fan_in: int, shape) -> Tensor:
     """Uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], the scheme used everywhere."""
     bound = 1.0 / np.sqrt(fan_in)
-    return engine.parameter(rng.uniform(-bound, bound, shape))
+    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
 class Module:
@@ -66,8 +66,8 @@ class Mlp2(Module):
 
 class LayerNorm(Module):
     def __init__(self, width: int):
-        self.gain = engine.parameter(np.ones(width))
-        self.bias = engine.parameter(np.zeros(width))
+        self.gain = Tensor(np.ones(width), requires_grad=True)
+        self.bias = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return engine.layer_norm(x, self.gain, self.bias)

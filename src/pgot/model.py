@@ -174,10 +174,10 @@ class PgotModel(Module):
                 f"coordinates {coords.shape} do not match input field {a.shape} with d={self.config.d}"
             )
         coords_norm = normalize_coords(coords)
-        pe_t = engine.constant(self.embed(coords_norm))
+        pe_t = Tensor(self.embed(coords_norm))
         # a stack repeats the float32 features per field; held in `x`, that copy dies with the lift
-        x = pe_t if a.ndim == 2 else engine.constant(np.broadcast_to(pe_t.data, (*a.shape[:-1], pe_t.shape[-1])))
-        x = self.lift(engine.concat([engine.constant(a), x], axis=-1))
+        x = pe_t if a.ndim == 2 else Tensor(np.broadcast_to(pe_t.data, (*a.shape[:-1], pe_t.shape[-1])))
+        x = self.lift(engine.concat([Tensor(a), x], axis=-1))
         for index, block in enumerate(self.blocks):
             x = block(x, coords_norm, pe_t, self._dropout_rng, training)
             if not np.all(np.isfinite(x.data)):

@@ -131,6 +131,8 @@ USAGE_ERRORS = {
     "stray-argument-newline": ["eval", "--checkpoint", "a", "--data", "b", "x\ny"],
     "config-path-newline": ["bench", "--config", "no\nfile", "--sizes", "64", "--out", "b.csv"],
     "config-path-carriage-return": ["bench", "--config", "no\rfile", "--sizes", "64", "--out", "b.csv"],
+    # the test runs in its own directory, so "." names a directory that holds no config
+    "config-directory": ["train", "--config", ".", "--data", "data", "--out", "out"],
 }
 
 
@@ -144,8 +146,13 @@ def test_usage_error_exit_2_with_one_line(tmp_path, monkeypatch, capsys, case):
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 
-# each entry damages a valid manifest; the one-line error must name the given text
+# JSON nested far deeper than Python's recursion limit
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+# each entry damages a valid manifest, or returns the bytes that replace it; the one-line error must name the
+# given text
 MANIFEST_FAULTS = {
+    "nested-too-deeply": (lambda m: TOO_DEEP, "nested too deeply"),
     "samples": (lambda m: m.pop("samples"), "samples"),
     "normalization": (lambda m: m.pop("normalization"), "normalization"),
     "samples-not-list": (lambda m: m.update(samples={"file": "sample_0000.pgds"}), "samples"),
@@ -181,6 +188,7 @@ BAD_CONFIGS = {
     "top-level-number": b"5",
     "model-number": b'{"model": 5}',
     "model-missing": b'{"training": {}}',
+    "model-nested-too-deeply": b'{"model": ' + TOO_DEEP + b"}",
     "training-not-object": json.dumps({"model": DESK_CONFIG["model"], "training": [1]}).encode(),
     "steps-string": json.dumps({"model": DESK_CONFIG["model"], "training": {"steps": "abc"}}).encode(),
     "steps-float": json.dumps({"model": DESK_CONFIG["model"], "training": {"steps": 2.5}}).encode(),
@@ -252,8 +260,8 @@ class TestTrainEval:
         data = run_gen(tmp_path)
         manifest = json.loads((data / "manifest.json").read_text())
         damage, named = MANIFEST_FAULTS[key]
-        damage(manifest)
-        (data / "manifest.json").write_text(json.dumps(manifest))
+        replaced = damage(manifest)
+        (data / "manifest.json").write_bytes(replaced if isinstance(replaced, bytes) else json.dumps(manifest).encode())
         capsys.readouterr()
         assert main(["train", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
@@ -410,6 +418,12 @@ def _add_one(blob: bytes, at: int) -> bytes:
     return blob[:at] + struct.pack("<I", value + 1) + blob[at + 4:]
 
 
+def _with_config(blob: bytes, config: bytes) -> bytes:
+    """Replace the config JSON, which follows magic and version, and its u32 length at byte 8."""
+    end = 12 + struct.unpack_from("<I", blob, 8)[0]
+    return blob[:8] + struct.pack("<I", len(config)) + config + blob[end:]
+
+
 # DESK_CONFIG's LayerNorm tensors have rank 1, so the record is name, rank, one dim, then the payload
 GAIN, BIAS = b"block0.ln1.gain", b"block0.ln1.bias"
 
@@ -436,6 +450,7 @@ CORRUPT_CHECKPOINTS = {
     # the config JSON starts after magic, version and its length (12 bytes)
     "config-not-utf8": lambda blob: blob[:12] + b"\xff" + blob[13:],
     "config-not-json": lambda blob: blob[:12] + b"x" + blob[13:],
+    "config-nested-too-deeply": lambda blob: _with_config(blob, TOO_DEEP),
     "duplicate-name": lambda blob: _splice(blob, b"block0.ln2.gain", b"block0.ln1.gain"),
     "name-not-utf8": lambda blob: _splice(blob, b"block0.ln2.gain", b"block0.ln2.ga\xffn"),
     # the tensor count follows the config, whose length is the u32 at byte 8

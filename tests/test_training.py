@@ -325,6 +325,13 @@ class TestTrainLoop:
             assert np.array_equal(p.data, before[name]), name
         assert len(set(round(l, 8) for l in report.epoch_losses)) == 1
 
+    def test_report_has_the_readme_keys(self, small_dataset):
+        samples, stats = small_dataset
+        _, report = train(ModelConfig(layers=1, width=16, slices=4, heads=2), samples, stats, steps=1)
+        assert set(report.to_dict()) == {
+            "config_hash", "seed", "steps", "epoch_losses", "final_train_rel_l2", "eval_spearman", "wall_time_s",
+        }
+
     def test_seed_reproducibility(self, small_dataset):
         samples, stats = small_dataset
         config = ModelConfig(layers=1, width=16, slices=4, heads=2, seed=6)
