@@ -83,18 +83,33 @@ class NormStats:
 
 
 def compute_stats(samples: list[Sample]) -> NormStats:
-    inputs = np.concatenate([s.input for s in samples], axis=0).astype(np.float64)
-    targets = np.concatenate([s.target for s in samples], axis=0).astype(np.float64)
+    """Per-channel mean and standard deviation over every point of ``samples``.
 
-    def _std(arr):
-        std = arr.std(axis=0)
-        return np.where(std > 0, std, 1.0)
+    Each field is concatenated into one float64 array, its mean taken, and
+    the deviations squared in place, so the call holds one float64 copy of
+    one field at a time. These are the reductions ``ndarray.mean`` and
+    ``ndarray.std`` run, on arrays of the same shapes, so the statistics keep
+    their bits; summing per sample instead would not (numpy adds a
+    1-channel column pairwise). A zero standard deviation becomes 1.0.
+    """
+    return NormStats(*_field_stats([s.input for s in samples]), *_field_stats([s.target for s in samples]))
 
-    return NormStats(inputs.mean(axis=0), _std(inputs), targets.mean(axis=0), _std(targets))
+
+def _field_stats(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    x = np.concatenate(arrays, axis=0, dtype=np.float64)
+    mean = x.mean(axis=0)
+    x -= mean
+    x *= x
+    std = np.sqrt(x.mean(axis=0))
+    return mean, np.where(std > 0, std, 1.0)
 
 
 def normalize(arr: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return ((arr - mean) / std).astype(np.float32)
+    """z-scored ``arr`` in float32; statistics that overflow float32 (a tiny std) raise ``DataError``."""
+    out = ((arr - mean) / std).astype(np.float32)
+    if not np.all(np.isfinite(out)):
+        raise DataError("normalized field overflows float32: the manifest's normalization std is too small")
+    return out
 
 
 def denormalize(arr: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -166,6 +166,9 @@ MANIFEST_FAULTS = {
     "normalization-without-input-mean": (lambda m: m["normalization"].pop("input_mean"), "input_mean"),
     "normalization-non-numeric": (lambda m: m["normalization"].update(target_std=["x"]), "target_std"),
     "normalization-zero-std": (lambda m: m["normalization"].update(input_std=[0.0]), "input_std"),
+    # positive, so the manifest is accepted, but the normalized fields overflow float32
+    "normalization-tiny-input-std": (lambda m: m["normalization"].update(input_std=[1e-300]), "normalization std"),
+    "normalization-tiny-target-std": (lambda m: m["normalization"].update(target_std=[1e-300]), "normalization std"),
     "normalization-channels": (
         lambda m: m["normalization"].update(target_mean=[0.0, 0.0], target_std=[1.0, 1.0]),
         "normalization",

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,3 +259,66 @@ class TestNormalization:
         all_targets = np.concatenate([normalize(s.target, stats.target_mean, stats.target_std) for s in samples])
         assert abs(all_targets.mean()) < 1e-5
         assert abs(all_targets.std() - 1.0) < 1e-4
+
+    def test_tiny_std_overflow_is_a_data_error(self):
+        x = np.array([[1.0], [2.0]], dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflows float32"):
+            normalize(x, np.zeros(1), np.array([1e-300]))
+
+
+def _column(kind: str, rng, n: int) -> np.ndarray:
+    if kind == "offset":
+        return rng.normal(1e3, 3.0, n)
+    if kind == "constant":
+        return np.full(n, 2.5)  # its std is 0, so compute_stats gives 1.0
+    return np.full(n, -0.0)
+
+
+def _ragged_samples(d_a: int, d_u: int, first: int) -> list[Sample]:
+    kinds = ("offset", "constant", "negative-zero")
+    rng = np.random.default_rng(100 * d_a + first)
+    samples = []
+    for n in rng.integers(4, 300, 40):
+        fields = [
+            np.stack([_column(kinds[(first + j) % 3], rng, n) for j in range(c)], axis=1).astype(np.float32)
+            for c in (d_a, d_u)
+        ]
+        samples.append(Sample(np.zeros((n, 2), np.float32), *fields))
+    return samples
+
+
+def _bits(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
+class TestComputeStats:
+    @pytest.mark.parametrize("d_a, d_u", [(1, 3), (2, 1), (3, 2)])
+    def test_bits_match_concatenate_then_std(self, d_a, d_u):
+        for first in range(3):
+            samples = _ragged_samples(d_a, d_u, first)
+            # the formula compute_stats replaced: both fields concatenated, then ndarray.mean and ndarray.std
+            expected = []
+            for name in ("input", "target"):
+                arr = np.concatenate([getattr(s, name) for s in samples], axis=0).astype(np.float64)
+                std = arr.std(axis=0)
+                expected += [arr.mean(axis=0), np.where(std > 0, std, 1.0)]
+            stats = compute_stats(samples)
+            got = [stats.input_mean, stats.input_std, stats.target_mean, stats.target_std]
+            for g, e in zip(got, expected):
+                assert g.shape == e.shape and np.array_equal(_bits(g), _bits(e))
+            assert 1.0 in stats.input_std or 1.0 in stats.target_std
+
+    def test_traced_peak_is_one_float64_field(self):
+        rng = np.random.default_rng(5)
+        samples = [
+            Sample(np.zeros((1024, 2), np.float32), *(rng.normal(size=(1024, c)).astype(np.float32) for c in (3, 2)))
+            for _ in range(32)
+        ]
+        rows, widest = 32 * 1024, 3
+        tracemalloc.start()
+        try:
+            compute_stats(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * rows * widest * 8 + 64 * 1024

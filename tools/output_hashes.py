@@ -5,7 +5,9 @@ Each output is computed in float32 mode (``f32/`` names) and inside
 
 * ``gen.*``: the samples of ``gen_poisson2d(7, 16, 2)`` and ``gen_pointcloud_stress(3, 64, 2)``;
 * ``dataset.train``: every file ``write_dataset`` writes for those Poisson samples, in
-  sorted name order;
+  sorted name order; ``dataset.pointcloud_stress``: the same for
+  ``gen_pointcloud_stress(3, 64, 3)``, whose 2-channel input has its statistics summed
+  row by row, not pairwise;
 * ``init.seed5``: every parameter of a seed-5 default model;
 * ``bench.random_cloud.N<n>``: ``bench._random_cloud`` from bench's fixed seed;
 * ``fwdbwd.<config>.N<n>``: the predictions and every parameter gradient of two
@@ -117,13 +119,17 @@ def trained(name: str, samples, ckpt: Path, **options):
     yield f"{name}.report", digest(np.frombuffer(json.dumps(fields, sort_keys=True).encode(), dtype=np.uint8))
 
 
+def dataset(samples, out_dir: Path, task: str) -> str:
+    write_dataset(samples, out_dir, task=task)
+    return digest(*(np.frombuffer(f.read_bytes(), dtype=np.uint8) for f in sorted(out_dir.iterdir())))
+
+
 def hashes(sizes: list[int], workdir: Path):
     poisson = gen_poisson2d(7, 16, 2)
     yield "gen.poisson2d", digest(*sample_arrays(poisson))
     yield "gen.pointcloud_stress", digest(*sample_arrays(gen_pointcloud_stress(3, 64, 2)))
-    write_dataset(poisson, workdir / "dataset", task="poisson2d")
-    files = sorted((workdir / "dataset").iterdir())
-    yield "dataset.train", digest(*(np.frombuffer(f.read_bytes(), dtype=np.uint8) for f in files))
+    yield "dataset.train", dataset(poisson, workdir / "dataset", "poisson2d")
+    yield "dataset.pointcloud_stress", dataset(gen_pointcloud_stress(3, 64, 3), workdir / "cloud", "pointcloud_stress")
     yield "init.seed5", digest(*(p.data for _, p in PgotModel(ModelConfig(seed=5)).parameters()))
     for n in sizes:
         yield f"bench.random_cloud.N{n}", digest(*bench._random_cloud(Rng(1234), n, 2, 1))
