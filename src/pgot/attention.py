@@ -95,8 +95,8 @@ class SpecGeoAttention(Module):
     def slice_tokens(self, assignment: Tensor, x: Tensor) -> Tensor:
         """Mass-normalized aggregation of projected features into M tokens.
 
-        A slice whose mass is below ``DEAD_SLICE_EPS`` yields a zero token and
-        counts once in ``dead_slice_events``.
+        A slice of mass below ``DEAD_SLICE_EPS`` counts once in ``dead_slice_events``;
+        its token, the weighted mean times mass / eps, is zero only for an empty slice.
         """
         xf = self.wf(x)
         col = engine.sum_(assignment, axis=-2)  # (..., M)

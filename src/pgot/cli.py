@@ -93,11 +93,11 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     config, _ = _load_config_file(args.config)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     records = run_bench(config, args.sizes, repeats=args.repeats)
     dense_config = dataclasses.replace(config, dense_attention=True)
     dense_records = run_bench(dense_config, args.sizes, repeats=args.repeats)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_bench_csv(records, out)
     dense_out = out.with_name(out.stem + "_dense" + out.suffix)
     write_bench_csv(dense_records, dense_out)

@@ -29,13 +29,13 @@ and normalized coordinates are float32 in both modes.
   softmax normalisers, broadcast-gradient sums and the LayerNorm
   ``gain``/``bias`` gradients.
 
-Every tensor that needs a gradient has one ``_Node`` (pending gradient and
-dtype): a parameter from its construction, an op output from its recording.
-The tape holds nodes, not tensors; backward closures keep the fewest arrays
-their backward needs, so an op output that no backward reads dies with its
-last user. GELU keeps one array, its derivative, which it computes in the
-forward pass only when the op is recorded; it holds neither its input nor
-its ``cdf``.
+Every tensor that needs a gradient has one ``_Node``, its pending gradient:
+a parameter from its construction, an op output from its recording. The tape
+holds nodes, not tensors, and stores a first gradient, which a closure may
+return as a view, as a contiguous copy in the dtype the backward computed.
+Closures keep the fewest arrays their backward needs, so an op output that no
+backward reads dies with its last user. A recorded GELU keeps one array, its
+derivative, computed in the forward pass; not its input or ``cdf``.
 
 Importing this module tells glibc's malloc to keep freed memory in the
 process (see ``_keep_freed_memory``): a large pass then reuses the previous
@@ -206,7 +206,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=_DTYPE)
         self.data = arr
-        self._node: Optional["_Node"] = _Node(arr.dtype) if requires_grad else None
+        self._node: Optional["_Node"] = _Node() if requires_grad else None
         _ALLOC["bytes"] += arr.nbytes
         _ALLOC["count"] += 1
         if arr.nbytes > _ALLOC["max_single"]:
@@ -259,13 +259,12 @@ def _wrap(value) -> Tensor:
 
 
 class _Node:
-    """Gradient slot of one tensor: its pending ``grad`` and its dtype."""
+    """Gradient slot of one tensor: its pending ``grad``."""
 
-    __slots__ = ("grad", "dtype")
+    __slots__ = ("grad",)
 
-    def __init__(self, dtype):
+    def __init__(self):
         self.grad: Optional[np.ndarray] = None
-        self.dtype = dtype
 
 
 class Tape:
@@ -295,7 +294,7 @@ class Tape:
         return False
 
     def record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable):
-        node = out._node = _Node(out.data.dtype)
+        node = out._node = _Node()
         nodes = tuple([p._node for p in parents])
         self._records.append((node, nodes, backward_fn))
 
@@ -317,7 +316,7 @@ class Tape:
                 if g is None or parent is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.ascontiguousarray(g, dtype=parent.dtype)
+                    parent.grad = np.ascontiguousarray(g)
                 else:
                     parent.grad = parent.grad + g
 
@@ -642,12 +641,12 @@ def _getitem(a: Tensor, index) -> Tensor:
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = _accum_sum(a.data, axis=axis, keepdims=keepdims)
-    shape, dtype = a.data.shape, a.data.dtype
+    shape = a.data.shape
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).astype(dtype),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(data, (a,), bwd)
 

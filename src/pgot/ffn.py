@@ -62,7 +62,7 @@ class TaylorDecompFFN(Module):
             self.last_gate = alpha.data
         f_lin = self.linear_expert(x, rng, training)
         f_non = self.nonlinear_expert(x)
-        one = Tensor(np.ones((), dtype=alpha.data.dtype))
+        one = Tensor(np.ones(()))
         return (one - alpha) * f_lin + alpha * f_non
 
 

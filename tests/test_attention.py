@@ -204,12 +204,26 @@ class TestForward:
         assert stats["max_single"] < n * n * 4
 
     def test_dead_slice_zeroed(self):
+        """An empty slice yields a zero token and counts as dead."""
         layer = SpecGeoAttention(Rng(29), 2, 4, 2, 1, 1, use_geometry=False)
         layer.wf.w.data = np.eye(4, dtype=np.float32)
         x = Tensor(Rng(30).uniform(-1, 1, (3, 4)))
         a = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
         z = layer.slice_tokens(a, x)
         assert np.allclose(z.data[1], 0.0, atol=1e-6)
+        assert layer.dead_slice_events == 1
+
+    def test_tiny_slice_token_scaled_by_its_mass(self):
+        """A slice of mass below DEAD_SLICE_EPS yields its weighted mean times mass / eps and counts as dead."""
+        layer = SpecGeoAttention(Rng(29), 2, 4, 2, 1, 1, use_geometry=False)
+        layer.wf.w.data = np.eye(4, dtype=np.float32)
+        x = Tensor(np.ones((3, 4)))
+        mass = 5e-9
+        a = Tensor(np.array([[1.0, mass / 2], [1.0, mass / 2], [1.0, 0.0]]))
+        z = layer.slice_tokens(a, x)
+        assert np.allclose(z.data[1], mass / DEAD_SLICE_EPS, rtol=1e-6)  # mean 1 times 0.5, not 0
+        assert np.allclose(z.data[0], 1.0)
+        assert layer.dead_slice_events == 1
 
     def test_dead_slice_events_count_empty_slices(self, monkeypatch):
         layer = make_layer(slices=4)

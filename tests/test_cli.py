@@ -387,6 +387,16 @@ class TestBench:
         assert err.startswith("config error: out of memory: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_unusable_out_fails_before_measuring(self, tmp_path, config_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: calls.append(args) or [])
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["bench", "--config", str(config_path), "--sizes", "64", "--out", str(blocker / "b.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert calls == []
+
     def test_unsorted_sizes_rejected(self, tmp_path, config_path):
         assert main(["bench", "--config", str(config_path), "--sizes", "128,64", "--out", str(tmp_path / "b.csv")]) == 2
 

@@ -735,3 +735,64 @@ def test_dropout_keeps_a_bool_mask(recorded):
     g = np.random.default_rng(9).uniform(-1.0, 1.0, x.shape).astype(np.float32)
     assert out.data.tobytes() == (x.data * keep * scale).tobytes()
     assert bwd(g)[0].tobytes() == (g * keep * scale).tobytes()
+
+
+def _storage_dtype(mode):
+    return np.float64 if mode == "float64_mode" else np.float32
+
+
+def _check_closures_keep_the_storage_dtype(records, dtype):
+    """Each closure, given a gradient of its output in ``dtype``, returns one per parent in ``dtype``.
+
+    The tape's first gradient, the loss's ``ones_like``, has that dtype, so by induction every
+    gradient the tape receives has it too: the tape stores it without a cast.
+    """
+    assert records
+    for out, parents, backward_fn in records:
+        assert out.data.dtype == dtype
+        g = np.random.default_rng(10).uniform(-1.0, 1.0, out.shape).astype(dtype)
+        grads = backward_fn(g)
+        assert len(grads) == len(parents)
+        for parent, grad in zip(parents, grads):
+            if grad is not None:
+                assert grad.dtype == dtype, backward_fn.__qualname__
+                assert grad.shape == parent.shape, backward_fn.__qualname__
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64_mode"])
+@pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+def test_backward_closures_return_the_storage_dtype(recorded, mode, op):
+    with _mode(mode):
+        x = Tensor(np.random.default_rng(1).uniform(0.5, 1.5, (2, 3)), requires_grad=True)
+        with Tape():
+            RECORDING_OPS[op](x)
+    assert any(fn.__qualname__.startswith(f"{op}.") for _, _, fn in recorded)
+    _check_closures_keep_the_storage_dtype(recorded, _storage_dtype(mode))
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64_mode"])
+def test_model_backward_closures_return_the_storage_dtype(recorded, mode):
+    with _mode(mode):
+        _default_fwd_bwd(37)()
+    _check_closures_keep_the_storage_dtype(recorded, _storage_dtype(mode))
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64_mode"])
+def test_parameter_grads_are_contiguous_writable_in_the_storage_dtype(mode):
+    """Includes parameters that reach the loss only through ``sum_``, whose backward broadcasts."""
+    gen = np.random.default_rng(2)
+    coords = gen.uniform(0.0, 1.0, (37, 2))
+    field = gen.uniform(-1.0, 1.0, (37, 1))
+    with _mode(mode):
+        model = PgotModel(ModelConfig())
+        # a (1,) broadcast is a contiguous read-only view, so only a copy makes its gradient writable
+        lone = [Tensor(np.full(shape, 0.5), requires_grad=True) for shape in [(1,), (2, 3)]]
+        with Tape() as tape:
+            loss = relative_l2_loss(model.predict(field, coords), np.sin(coords[:, :1]))
+            tape.backward(engine.add(loss, engine.add(engine.sum_(lone[0]), engine.sum_(lone[1]))))
+    params = [p for _, p in model.parameters()] + lone
+    for p in params:
+        assert p.grad.dtype == _storage_dtype(mode)
+        assert p.grad.shape == p.shape
+        assert p.grad.flags.c_contiguous and p.grad.flags.writeable
+    assert all(np.array_equal(p.grad, np.ones(p.shape)) for p in lone)
