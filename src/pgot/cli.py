@@ -57,7 +57,14 @@ def cmd_gen(args) -> int:
         raise ConfigError(f"output directory {out_dir} is not empty")
     stats = None
     if args.train_manifest:
-        stats = NormStats.from_dict(read_manifest(args.train_manifest)["normalization"])
+        train_manifest, stats = read_manifest(args.train_manifest)
+        # sample i is generated from the key seed ^ i, which each manifest entry stores as meta["seed"]; a
+        # manifest may hold any JSON value there, and only an int can be a key
+        metas = [entry.get("meta") or {} for entry in train_manifest["samples"]]
+        keys = {m.get("seed") for m in metas if m.get("task") == args.task and type(m.get("seed")) is int}
+        shared = next((args.seed ^ i for i in range(args.samples) if args.seed ^ i in keys), None)
+        if shared is not None:
+            raise ConfigError(f"--seed {args.seed} would repeat train sample key {shared} (seed ^ index): pick another")
     size = args.resolution if args.task == "poisson2d" else args.points
     samples = GENERATORS[args.task](args.seed, size, args.samples)
     manifest = write_dataset(samples, out_dir, task=args.task, stats=stats)
@@ -110,7 +117,7 @@ def cmd_inspect(args) -> int:
     sample = read_sample(args.sample)
     check_dims(model.config, [sample])
     # the model reads normalized inputs, as in `pgot eval`: take the stats of the dataset the sample sits in
-    stats = NormStats.from_dict(read_manifest(Path(args.sample).with_name(MANIFEST_NAME))["normalization"])
+    _, stats = read_manifest(Path(args.sample).with_name(MANIFEST_NAME))
     stats.check_channels(sample, args.sample)
     dumps = model.inspect(normalize(sample.input, stats.input_mean, stats.input_std), sample.coords)
     out_dir = Path(args.out)

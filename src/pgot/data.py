@@ -17,8 +17,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .engine import Rng
 from .errors import BadMagicError, DataError, TruncatedError, VersionError
@@ -121,8 +119,10 @@ def denormalize(arr: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _poisson_operator(n: int) -> sp.csc_matrix:
-    """5-point-stencil Dirichlet Laplacian on the interior of an n x n grid."""
+def _poisson_operator(n: int):
+    """5-point-stencil Dirichlet Laplacian on the interior of an n x n grid, as a scipy CSC matrix."""
+    import scipy.sparse as sp  # only the generators solve systems: reading and training never load scipy
+
     m = n - 2
     h = 1.0 / (n - 1)
     off = sp.diags([-1.0] * (m - 1), 1) + sp.diags([-1.0] * (m - 1), -1)
@@ -138,6 +138,8 @@ def solve_poisson(source_grid: np.ndarray) -> np.ndarray:
     ``source_grid`` is the full n x n field including boundary nodes; the
     returned grid has zeros on the boundary.
     """
+    import scipy.sparse.linalg as spla
+
     n = source_grid.shape[0]
     lap = _poisson_operator(n)
     rhs = source_grid[1:-1, 1:-1].reshape(-1)
@@ -359,10 +361,10 @@ def check_value(name: str, value, kind: type, low=-math.inf, high=math.inf, erro
     return value
 
 
-def read_manifest(path) -> dict:
-    """Load a split manifest, checking everything its readers rely on: a
-    non-empty "samples" list of objects whose "file" is a plain name inside
-    the dataset directory, and well-formed "normalization" stats."""
+def read_manifest(path) -> tuple[dict, NormStats]:
+    """Load a split manifest and its normalization stats, checking everything
+    its readers rely on: a non-empty "samples" list of objects whose "file" is
+    a plain name inside the dataset directory, and well-formed "normalization"."""
     if not os.path.isfile(path):
         raise DataError(f"no manifest file {path}")
     with open(path, "rb") as fh:
@@ -376,14 +378,12 @@ def read_manifest(path) -> dict:
         if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
             raise DataError(f"manifest samples[{index}] file must be a plain file name, got {name!r:.40}")
         require_object(entry.get("meta") or {}, f"manifest samples[{index}] meta")
-    NormStats.from_dict(manifest.get("normalization"))
-    return manifest
+    return manifest, NormStats.from_dict(manifest.get("normalization"))
 
 
 def read_dataset(path) -> tuple[list[Sample], dict]:
     path = Path(path)
-    manifest = read_manifest(path / MANIFEST_NAME)
-    stats = NormStats.from_dict(manifest["normalization"])
+    manifest, stats = read_manifest(path / MANIFEST_NAME)
     samples = []
     for entry in manifest["samples"]:
         sample = read_sample(path / entry["file"], meta=entry.get("meta"))

@@ -51,7 +51,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -435,6 +434,13 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Abramowitz & Stegun 7.1.26: erf(x) ~ 1 - t*poly(t)*exp(-x^2), t = 1/(1 + p|x|)
 _ERF_P = 0.3275911
 _ERF_COEFFS = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """scipy's exact erf, imported on first use: float32 runs never load scipy."""
+    from scipy.special import erf as exact
+
+    return exact(x)
 
 
 def _erf_f32(x: np.ndarray) -> np.ndarray:

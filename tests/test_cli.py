@@ -104,6 +104,39 @@ class TestGen:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_test_split_sharing_a_train_key_exit_2(self, tmp_path, monkeypatch, capsys):
+        """Sample i is keyed seed ^ i, so seeds 0 and 1 over 8 samples give the same 8 samples, swapped in pairs."""
+        train = run_gen(tmp_path, "train", **{"--samples": "8", "--seed": "0"})
+
+        def generate(*args):
+            raise AssertionError("samples generated before the train keys were checked")
+
+        monkeypatch.setitem(cli.GENERATORS, "poisson2d", generate)
+        out = tmp_path / "test"
+        argv = ["gen", "--task", "poisson2d", "--samples", "8", "--seed", "1",
+                "--train-manifest", str(train / "manifest.json"), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "train sample key 1 " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["poisson2d", "pointcloud_stress"])
+    def test_readme_test_split_seeds_pass(self, tmp_path, task):
+        train = run_gen(tmp_path, "train", **{"--task": task, "--samples": "4", "--points": "64"})
+        test = run_gen(tmp_path, "test", **{"--task": task, "--samples": "4", "--points": "64", "--seed": "99",
+                                             "--train-manifest": str(train / "manifest.json")})
+        assert json.loads((test / "manifest.json").read_text())["split"] == "test"
+
+    def test_train_entries_without_keys_match_nothing(self, tmp_path):
+        train = run_gen(tmp_path, "train", **{"--seed": "0"})
+        manifest = json.loads((train / "manifest.json").read_text())
+        del manifest["samples"][0]["meta"]
+        del manifest["samples"][1]["meta"]["seed"]
+        manifest["samples"][2]["meta"]["task"] = "pointcloud_stress"
+        (train / "manifest.json").write_text(json.dumps(manifest))
+        run_gen(tmp_path, "test", **{"--seed": "1", "--train-manifest": str(train / "manifest.json")})
+
     def test_help_exits_zero(self, capsys):
         for sub in ("gen", "train", "eval", "bench", "inspect"):
             with pytest.raises(SystemExit) as exc:
@@ -239,6 +272,28 @@ class TestTrainEval:
         json_line = [l for l in out.splitlines() if l.startswith("{")][0]
         metrics = json.loads(json_line)
         assert 0.0 <= metrics["rel_l2"]
+
+    def test_normalization_parsed_once_per_manifest_read(self, tmp_path, config_path, monkeypatch):
+        """`read_manifest` hands back the stats it checks; train and eval parse them once more from the
+        manifest `read_dataset` returns."""
+        data, run_dir = run_gen(tmp_path), tmp_path / "run"
+        ckpt, sample = run_dir / "checkpoint.pgck", data / "sample_0000.pgds"
+        from_dict = NormStats.from_dict.__func__
+        calls = []
+        monkeypatch.setattr(NormStats, "from_dict", classmethod(lambda cls, d: calls.append(1) or from_dict(cls, d)))
+        commands = {
+            "train": ["--config", str(config_path), "--data", str(data), "--out", str(run_dir)],
+            "eval": ["--checkpoint", str(ckpt), "--data", str(data)],
+            "gen": ["--task", "poisson2d", "--samples", "1", "--resolution", "12", "--seed", "99",
+                    "--train-manifest", str(data / "manifest.json"), "--out", str(tmp_path / "test")],
+            "inspect": ["--checkpoint", str(ckpt), "--sample", str(sample), "--out", str(tmp_path / "dump")],
+        }
+        counts = {}
+        for command, argv in commands.items():
+            calls.clear()
+            assert main([command, *argv]) == 0
+            counts[command] = len(calls)
+        assert counts == {"train": 2, "eval": 2, "gen": 1, "inspect": 1}
 
     def test_dimension_mismatch_exit_2(self, tmp_path, config_path, capsys):
         data = run_gen(tmp_path, "pc", **{"--task": "pointcloud_stress", "--points": "64"})
@@ -574,7 +629,7 @@ class TestInspect:
         assert np.array_equal(coords, src.coords)
 
         # the dumps are what the model computes on the input normalized as `pgot eval` normalizes it
-        stats = NormStats.from_dict(read_manifest(data / "manifest.json")["normalization"])
+        _, stats = read_manifest(data / "manifest.json")
         model = load_checkpoint(run_dir / "checkpoint.pgck")
         dumps = model.inspect(normalize(src.input, stats.input_mean, stats.input_std), src.coords)
         assert np.array_equal(weights, dumps["layer0_assignment"])
@@ -683,3 +738,36 @@ def test_closed_stdout_is_no_data_error(tmp_path):
     assert result.stderr == ""
     samples, _ = read_dataset(tmp_path / "out")
     assert len(samples) == 1
+
+
+def test_runtime_loads_no_scipy(tmp_path, config_path):
+    """train, eval, inspect and bench on an existing split run on numpy alone; gen loads scipy for its solver,
+    which shows that the child would see scipy if a command loaded it."""
+    data, run_dir = run_gen(tmp_path), tmp_path / "run"
+    config_path.write_text(json.dumps({**DESK_CONFIG, "training": {"steps": 2}}))
+    commands = [
+        ["train", "--config", str(config_path), "--data", str(data), "--out", str(run_dir)],
+        ["eval", "--checkpoint", str(run_dir / "checkpoint.pgck"), "--data", str(data)],
+        ["inspect", "--checkpoint", str(run_dir / "checkpoint.pgck"), "--sample", str(data / "sample_0000.pgds"),
+         "--out", str(tmp_path / "dump")],
+        ["bench", "--config", str(config_path), "--sizes", "64", "--repeats", "1", "--out", str(tmp_path / "b.csv")],
+        ["gen", "--task", "poisson2d", "--samples", "1", "--resolution", "8", "--out", str(tmp_path / "gen")],
+    ]
+    script = (
+        "import contextlib, json, os, sys\n"
+        "from pgot.cli import main\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
+        "        code = main(argv)\n"
+        "    loaded.append([argv[0], code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:3]])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pgot.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], capture_output=True, text=True,
+                            env=env, cwd=tmp_path, timeout=300)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert [entry[:2] for entry in loaded] == [[argv[0], 0] for argv in commands]
+    assert [entry[2] for entry in loaded[:4]] == [[]] * 4
+    assert "scipy" in loaded[4][2]

@@ -16,6 +16,7 @@ from pgot.data import (
     normalize,
     radial_field,
     read_dataset,
+    read_manifest,
     read_sample,
     solve_poisson,
     write_dataset,
@@ -239,6 +240,13 @@ class TestDatasetDir:
         test_manifest = write_dataset(test_samples, tmp_path / "test", task="poisson2d", stats=stats)
         assert test_manifest["split"] == "test"
         assert test_manifest["normalization"] == train_manifest["normalization"]
+
+    def test_read_manifest_returns_its_stats(self, tmp_path):
+        write_dataset(gen_pointcloud_stress(5, 64, 2), tmp_path / "ds", task="pointcloud_stress")
+        manifest, stats = read_manifest(tmp_path / "ds" / "manifest.json")
+        expected = NormStats.from_dict(manifest["normalization"])
+        for key, arr in vars(expected).items():
+            assert np.array_equal(getattr(stats, key), arr) and getattr(stats, key).dtype == arr.dtype, key
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):

@@ -5,7 +5,10 @@ Each output is computed in float32 mode (``f32/`` names) and inside
 
 * ``gen.*``: the samples of ``gen_poisson2d(7, 16, 2)`` and ``gen_pointcloud_stress(3, 64, 2)``;
 * ``dataset.train``: every file ``write_dataset`` writes for those Poisson samples, in
-  sorted name order; ``dataset.pointcloud_stress``: the same for
+  sorted name order; ``dataset.test``: the same for ``gen_poisson2d(99, 16, 2)`` written
+  against that train split's statistics; ``dataset.read``: the samples and the ``NormStats``
+  arrays that ``read_dataset`` and ``NormStats.from_dict`` give back for the train split;
+  ``dataset.pointcloud_stress``: the same as ``dataset.train`` for
   ``gen_pointcloud_stress(3, 64, 3)``, whose 2-channel input has its statistics summed
   row by row, not pairwise;
 * ``init.seed5``: every parameter of a seed-5 default model;
@@ -51,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from pgot import bench, engine
-from pgot.data import compute_stats, gen_pointcloud_stress, gen_poisson2d, write_dataset
+from pgot.data import NormStats, compute_stats, gen_pointcloud_stress, gen_poisson2d, read_dataset, write_dataset
 from pgot.engine import Rng, Tape
 from pgot.model import ModelConfig, PgotModel, load_checkpoint
 from pgot.training import evaluate, relative_l2_loss, train
@@ -119,9 +122,15 @@ def trained(name: str, samples, ckpt: Path, **options):
     yield f"{name}.report", digest(np.frombuffer(json.dumps(fields, sort_keys=True).encode(), dtype=np.uint8))
 
 
-def dataset(samples, out_dir: Path, task: str) -> str:
-    write_dataset(samples, out_dir, task=task)
+def dataset(samples, out_dir: Path, task: str, stats=None) -> str:
+    write_dataset(samples, out_dir, task=task, stats=stats)
     return digest(*(np.frombuffer(f.read_bytes(), dtype=np.uint8) for f in sorted(out_dir.iterdir())))
+
+
+def read_back(out_dir: Path) -> str:
+    """The samples and the statistics a written split reads back as, through calls every version has."""
+    samples, manifest = read_dataset(out_dir)
+    return digest(*sample_arrays(samples), *vars(NormStats.from_dict(manifest["normalization"])).values())
 
 
 def hashes(sizes: list[int], workdir: Path):
@@ -129,6 +138,8 @@ def hashes(sizes: list[int], workdir: Path):
     yield "gen.poisson2d", digest(*sample_arrays(poisson))
     yield "gen.pointcloud_stress", digest(*sample_arrays(gen_pointcloud_stress(3, 64, 2)))
     yield "dataset.train", dataset(poisson, workdir / "dataset", "poisson2d")
+    yield "dataset.test", dataset(gen_poisson2d(99, 16, 2), workdir / "test", "poisson2d", compute_stats(poisson))
+    yield "dataset.read", read_back(workdir / "dataset")
     yield "dataset.pointcloud_stress", dataset(gen_pointcloud_stress(3, 64, 3), workdir / "cloud", "pointcloud_stress")
     yield "init.seed5", digest(*(p.data for _, p in PgotModel(ModelConfig(seed=5)).parameters()))
     for n in sizes:
