@@ -51,8 +51,17 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
     return model_config, training
 
 
+def _check_out(out: str, directory: bool) -> Path:
+    """``--out`` as a path, refused before any work when it exists as the wrong kind: the command writes a
+    directory (``directory``) or a file. That is the command line's fault, so it exits 2, not 3."""
+    path = Path(out)
+    if path.exists() and path.is_dir() != directory:
+        raise ConfigError(f"--out {path} is {'not ' if directory else ''}a directory")
+    return path
+
+
 def cmd_gen(args) -> int:
-    out_dir = Path(args.out)
+    out_dir = _check_out(args.out, directory=True)
     if out_dir.exists() and any(out_dir.iterdir()):
         raise ConfigError(f"output directory {out_dir} is not empty")
     stats = None
@@ -74,11 +83,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out_dir = _check_out(args.out, directory=True)
     config, train_opts = _load_config_file(args.config)
     samples, manifest = read_dataset(args.data)
     check_dims(config, samples)
     stats = NormStats.from_dict(manifest["normalization"])
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, report = train(config, samples, stats, checkpoint_path=out_dir / "checkpoint.pgck", **train_opts)
     report.save(out_dir / "report.json")
@@ -99,8 +108,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    out = _check_out(args.out, directory=False)
     config, _ = _load_config_file(args.config)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     records = run_bench(config, args.sizes, repeats=args.repeats)
     dense_config = dataclasses.replace(config, dense_attention=True)
@@ -113,6 +122,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    out_dir = _check_out(args.out, directory=True)
     model = load_checkpoint(args.checkpoint)
     sample = read_sample(args.sample)
     check_dims(model.config, [sample])
@@ -120,7 +130,6 @@ def cmd_inspect(args) -> int:
     _, stats = read_manifest(Path(args.sample).with_name(MANIFEST_NAME))
     stats.check_channels(sample, args.sample)
     dumps = model.inspect(normalize(sample.input, stats.input_mean, stats.input_std), sample.coords)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     coord_cols = [f"x{i}" for i in range(sample.coords.shape[1])]
     for key, values in dumps.items():

@@ -27,19 +27,37 @@ def normalize_coords(coords: np.ndarray) -> np.ndarray:
     return out.astype(np.float32)
 
 
+ANCHOR_OCTAVES = 8
+
+
 def pos_embed(coords_norm: np.ndarray, frequencies: int) -> np.ndarray:
     """Sinusoidal features sin(2^k * pi * g), cos(2^k * pi * g) per axis,
     followed by the raw normalized coordinates g.
 
-    For d axes the output has d * (2 * frequencies + 1) columns; all
-    features lie in [-1, 1].
+    Only every ``ANCHOR_OCTAVES``-th frequency (k = 0, 8, 16) calls sin and
+    cos, on pi * r with r = x - 2 floor(x / 2) and x = 2^k g: an exact
+    reduction, so at k = 0 the pair is np.sin(np.pi * g), np.cos(np.pi * g).
+    Each other k doubles the previous pair, s, c = 2 s c, 1 - 2 s^2. Doubling
+    roughly triples the error per octave, so the anchors bound it: against
+    sin(pi * (2^k g mod 2)), at most 2.1e-13 for every frequency count up to
+    24 (measured on 2^18 random float32 points).
+
+    For d axes the output has d * (2 * frequencies + 1) columns. A doubled
+    sine can exceed 1 in magnitude by that error (at most 1.1e-13 measured),
+    so the float64 features lie in [-1, 1] up to it; their float32 cast,
+    which the model reads, lies in [-1, 1].
     """
     g = np.asarray(coords_norm, dtype=np.float64)
     feats = []
     for k in range(frequencies):
-        angle = (2.0**k) * np.pi * g
-        feats.append(np.sin(angle))
-        feats.append(np.cos(angle))
+        if k % ANCHOR_OCTAVES == 0:
+            x = (2.0**k) * g
+            angle = np.pi * (x - 2.0 * np.floor(0.5 * x))
+            s, c = np.sin(angle), np.cos(angle)
+        else:
+            s, c = 2.0 * s * c, 1.0 - 2.0 * s * s
+        feats.append(s)
+        feats.append(c)
     feats.append(g)
     return np.concatenate(feats, axis=1)
 

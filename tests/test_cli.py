@@ -209,6 +209,35 @@ MANIFEST_FAULTS = {
 }
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "inspect", "bench"])
+def test_out_of_the_wrong_kind_exit_2_before_any_work(tmp_path, config_path, monkeypatch, capsys, command):
+    """gen, train and inspect write a directory and bench a file: an --out of the other kind is refused first."""
+    data = run_gen(tmp_path)
+    ckpt = tmp_path / "m.pgck"
+    save_checkpoint(PgotModel(ModelConfig(**DESK_CONFIG["model"])), ckpt)
+    out = tmp_path / "out"
+    if command == "bench":
+        out.mkdir()
+    else:
+        out.write_text("kept")
+    work = []
+    for name in ("train", "run_bench", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: work.append(args))
+    monkeypatch.setitem(cli.GENERATORS, "poisson2d", lambda *args: work.append(args))
+    argv = {
+        "gen": ["--task", "poisson2d", "--samples", "1"],
+        "train": ["--config", str(config_path), "--data", str(data)],
+        "inspect": ["--checkpoint", str(ckpt), "--sample", str(data / "sample_0000.pgds")],
+        "bench": ["--config", str(config_path), "--sizes", "64"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--out", str(out)]) == 2
+    kind = "a directory" if command == "bench" else "not a directory"
+    assert capsys.readouterr().err == f"config error: --out {out} is {kind}\n"
+    assert work == []
+    assert list(out.iterdir()) == [] if command == "bench" else out.read_text() == "kept"
+
+
 def _config_bytes(**model) -> bytes:
     return json.dumps({"model": {**DESK_CONFIG["model"], **model}}).encode()
 

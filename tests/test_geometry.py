@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pgot import engine
+from pgot.data import gen_poisson2d
 from pgot.engine import Rng, Tensor
 from pgot.errors import DataError
 from pgot.geometry import GeometricEncoderBank, normalize_coords, pos_embed
@@ -51,6 +52,48 @@ class TestPosEmbed:
         rng = Rng(6)
         out = pos_embed(rng.random((100, 2)), frequencies=8)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
+
+    @staticmethod
+    def direct(g, frequencies):
+        """The features as sin and cos of (2^k pi) g, one pair per frequency."""
+        angles = [(2.0**k) * np.pi * g for k in range(frequencies)]
+        return np.concatenate([f(a) for a in angles for f in (np.sin, np.cos)] + [g], axis=1)
+
+    @staticmethod
+    def reduced(g, frequencies):
+        """The features as sin and cos of pi (2^k g mod 2): the angle reduced exactly, then one pair each."""
+        angles = [np.pi * np.mod((2.0**k) * g, 2.0) for k in range(frequencies)]
+        return np.concatenate([f(a) for a in angles for f in (np.sin, np.cos)] + [g], axis=1)
+
+    MESHES = {
+        "random": lambda: Rng(20).random((4096, 2)).astype(np.float32),
+        "grid9": lambda: normalize_coords(gen_poisson2d(0, 9, 1)[0].coords),
+        "grid16": lambda: normalize_coords(gen_poisson2d(0, 16, 1)[0].coords),
+    }
+
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    @pytest.mark.parametrize("frequencies", [1, 8, 9, 16, 24])
+    def test_within_reduced_reference(self, mesh, frequencies):
+        # doubling alone would reach about 1e-6 at 24 frequencies; the anchors every 8 octaves hold it here
+        g = self.MESHES[mesh]().astype(np.float64)
+        assert np.abs(pos_embed(g, frequencies) - self.reduced(g, frequencies)).max() <= 5e-13
+
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    def test_first_pair_and_coordinates_keep_their_bits(self, mesh):
+        g = self.MESHES[mesh]().astype(np.float64)
+        out = pos_embed(g, frequencies=8)
+        assert np.array_equal(out[:, :2], np.sin(np.pi * g))
+        assert np.array_equal(out[:, 2:4], np.cos(np.pi * g))
+        assert np.array_equal(out[:, -2:], g)
+
+    def test_float32_bounded_at_most_frequencies(self):
+        out = pos_embed(self.MESHES["random"](), frequencies=24).astype(np.float32)
+        assert np.all(out >= -1.0) and np.all(out <= 1.0)
+
+    def test_criterion1_grid_float32_bits_match_direct(self):
+        # the 16x16 grid of criterion 1 and train_poisson16: the model sees the same float32 features
+        g = self.MESHES["grid16"]().astype(np.float64)
+        assert np.array_equal(pos_embed(g, 8).astype(np.float32), self.direct(g, 8).astype(np.float32))
 
 
 class TestEncoderBank:

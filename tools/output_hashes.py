@@ -13,6 +13,11 @@ Each output is computed in float32 mode (``f32/`` names) and inside
   row by row, not pairwise;
 * ``init.seed5``: every parameter of a seed-5 default model;
 * ``bench.random_cloud.N<n>``: ``bench._random_cloud`` from bench's fixed seed;
+* ``geometry.pos_embed.<mesh>.F<f>``: the position features ``predict`` reads,
+  ``Tensor(pos_embed(normalize_coords(coords), f)).data`` in each mode's storage dtype, with
+  ``f`` 8 (the default) and 24 (the largest), for the 16x16 grid of ``gen_poisson2d``
+  (``grid16``), a 9x9 grid (``grid9``) and each size's ``bench._random_cloud``
+  (``random_cloud.N<n>``);
 * ``fwdbwd.<config>.N<n>``: the predictions and every parameter gradient of two
   fwd+bwd passes, for the default config, a ``d_a=2, d_u=3, slices=5`` config, a
   ``dropout=0.3, gate_force="half"`` config predicted with ``training=True``, and a
@@ -55,7 +60,8 @@ import numpy as np
 
 from pgot import bench, engine
 from pgot.data import NormStats, compute_stats, gen_pointcloud_stress, gen_poisson2d, read_dataset, write_dataset
-from pgot.engine import Rng, Tape
+from pgot.engine import Rng, Tape, Tensor
+from pgot.geometry import normalize_coords, pos_embed
 from pgot.model import ModelConfig, PgotModel, load_checkpoint
 from pgot.training import evaluate, relative_l2_loss, train
 
@@ -142,8 +148,14 @@ def hashes(sizes: list[int], workdir: Path):
     yield "dataset.read", read_back(workdir / "dataset")
     yield "dataset.pointcloud_stress", dataset(gen_pointcloud_stress(3, 64, 3), workdir / "cloud", "pointcloud_stress")
     yield "init.seed5", digest(*(p.data for _, p in PgotModel(ModelConfig(seed=5)).parameters()))
+    meshes = {"grid16": poisson[0].coords, "grid9": gen_poisson2d(7, 9, 1)[0].coords}
     for n in sizes:
-        yield f"bench.random_cloud.N{n}", digest(*bench._random_cloud(Rng(1234), n, 2, 1))
+        a, coords = bench._random_cloud(Rng(1234), n, 2, 1)
+        yield f"bench.random_cloud.N{n}", digest(a, coords)
+        meshes[f"random_cloud.N{n}"] = coords
+    for mesh, coords in meshes.items():
+        for f in (8, 24):
+            yield f"geometry.pos_embed.{mesh}.F{f}", digest(Tensor(pos_embed(normalize_coords(coords), f)).data)
     for name, (config, training) in CONFIGS.items():
         for n in sizes:
             yield f"fwdbwd.{name}.N{n}", fwdbwd(config, training, n)
