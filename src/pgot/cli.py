@@ -21,7 +21,7 @@ import numpy as np
 from .bench import run_bench, write_bench_csv
 from .data import (
     GENERATOR_BOUNDS, GENERATORS, MANIFEST_NAME, NormStats, check_value, normalize, read_dataset, read_json_object,
-    read_manifest, read_sample, require_object, write_dataset
+    read_manifest, read_sample, require_object, sample_keys, write_dataset
 )
 from .errors import ConfigError, DataError, MetricError, NumericalError
 from .model import ModelConfig, check_dims, load_checkpoint
@@ -51,9 +51,10 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
     return model_config, training
 
 
-def _check_out(out: str, directory: bool) -> Path:
-    """``--out`` as a path, refused before any work when it exists as the wrong kind: the command writes a
-    directory (``directory``) or a file. That is the command line's fault, so it exits 2, not 3."""
+def _check_out(out: str | Path, directory: bool) -> Path:
+    """``--out``, or a file the command writes in or beside it, as a path, refused before any work when it
+    exists as the wrong kind: the command writes a directory (``directory``) or a file. That is the command
+    line's fault, so it exits 2, not 3."""
     path = Path(out)
     if path.exists() and path.is_dir() != directory:
         raise ConfigError(f"--out {path} is {'not ' if directory else ''}a directory")
@@ -67,13 +68,13 @@ def cmd_gen(args) -> int:
     stats = None
     if args.train_manifest:
         train_manifest, stats = read_manifest(args.train_manifest)
-        # sample i is generated from the key seed ^ i, which each manifest entry stores as meta["seed"]; a
-        # manifest may hold any JSON value there, and only an int can be a key
+        # each manifest entry stores its sample's key as meta["seed"]; a manifest may hold any JSON value
+        # there, and only an int can be a key
         metas = [entry.get("meta") or {} for entry in train_manifest["samples"]]
         keys = {m.get("seed") for m in metas if m.get("task") == args.task and type(m.get("seed")) is int}
-        shared = next((args.seed ^ i for i in range(args.samples) if args.seed ^ i in keys), None)
+        shared = next((key for key in sample_keys(args.seed, args.samples) if key in keys), None)
         if shared is not None:
-            raise ConfigError(f"--seed {args.seed} would repeat train sample key {shared} (seed ^ index): pick another")
+            raise ConfigError(f"--seed {args.seed} would reuse train sample key {shared} (seed XOR index): try another")
     size = args.resolution if args.task == "poisson2d" else args.points
     samples = GENERATORS[args.task](args.seed, size, args.samples)
     manifest = write_dataset(samples, out_dir, task=args.task, stats=stats)
@@ -84,13 +85,15 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     out_dir = _check_out(args.out, directory=True)
+    checkpoint = _check_out(out_dir / "checkpoint.pgck", directory=False)
+    report_path = _check_out(out_dir / "report.json", directory=False)
     config, train_opts = _load_config_file(args.config)
     samples, manifest = read_dataset(args.data)
     check_dims(config, samples)
     stats = NormStats.from_dict(manifest["normalization"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, report = train(config, samples, stats, checkpoint_path=out_dir / "checkpoint.pgck", **train_opts)
-    report.save(out_dir / "report.json")
+    _, report = train(config, samples, stats, checkpoint_path=checkpoint, **train_opts)
+    report.save(report_path)
     print(f"final train relative L2: {report.final_train_rel_l2:.6f} ({report.wall_time_s:.1f}s)")
     print(json.dumps(report.to_dict(), sort_keys=True))
     return EXIT_OK
@@ -109,13 +112,13 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     out = _check_out(args.out, directory=False)
+    dense_out = _check_out(out.with_name(out.stem + "_dense" + out.suffix), directory=False)
     config, _ = _load_config_file(args.config)
     out.parent.mkdir(parents=True, exist_ok=True)
     records = run_bench(config, args.sizes, repeats=args.repeats)
     dense_config = dataclasses.replace(config, dense_attention=True)
     dense_records = run_bench(dense_config, args.sizes, repeats=args.repeats)
     write_bench_csv(records, out)
-    dense_out = out.with_name(out.stem + "_dense" + out.suffix)
     write_bench_csv(dense_records, dense_out)
     print(f"wrote {out} and {dense_out}")
     return EXIT_OK
@@ -197,11 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Check each integer flag the command takes, and each --sizes entry, against ``FLAG_BOUNDS``."""
+    """Check each integer flag the command takes, and each --sizes entry, against ``FLAG_BOUNDS``, and that
+    --sizes ascends, before a command creates anything."""
     for flag, bounds in FLAG_BOUNDS.items():
         value = getattr(args, flag, [])
         for item in value if isinstance(value, list) else [value]:
             check_value(f"--{flag}", item, int, *bounds, error=ConfigError)
+    sizes = getattr(args, "sizes", [])
+    if sizes != sorted(sizes):
+        raise ConfigError(f"--sizes must be ascending, got {sizes}")
 
 
 def _fail(prefix: str, exc: Exception, code: int) -> int:

@@ -149,72 +149,64 @@ def solve_poisson(source_grid: np.ndarray) -> np.ndarray:
     return u
 
 
-def gen_poisson2d(seed: int, resolution: int, samples: int) -> list[Sample]:
-    """Smooth random sources on a structured grid; targets from the direct solve."""
-    for name, value in (("seed", seed), ("resolution", resolution), ("samples", samples)):
+def sample_keys(seed: int, samples: int) -> list[int]:
+    """The Philox key of each of the ``samples`` samples a generator draws from ``seed``: sample i is keyed
+    ``seed ^ i``, and its meta stores the key as "seed"."""
+    return [seed ^ i for i in range(samples)]
+
+
+def _generate(task: str, draw, seed: int, size_name: str, size: int, samples: int) -> list[Sample]:
+    """``samples`` samples of ``task``, one per key of ``sample_keys``, each from ``draw(Rng(key), size)``,
+    which returns its (coords, input, target) arrays."""
+    for name, value in (("seed", seed), (size_name, size), ("samples", samples)):
         check_value(name, value, int, *GENERATOR_BOUNDS[name])
+    out = []
+    for key in sample_keys(seed, samples):
+        coords, inputs, target = (arr.astype(np.float32) for arr in draw(Rng(key), size))
+        out.append(Sample(coords, inputs, target, meta={"task": task, "seed": key, size_name: size}).validate())
+    return out
+
+
+def _draw_poisson2d(rng: Rng, resolution: int):
     xs = np.linspace(0.0, 1.0, resolution)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    a = np.zeros_like(gx)
+    for _ in range(int(rng.integers(1, 6))):
+        p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        c = float(rng.uniform(-1.0, 1.0, ()))
+        a += c * np.sin(p * np.pi * gx) * np.sin(q * np.pi * gy)
     coords = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-    out = []
-    for i in range(samples):
-        rng = Rng(seed ^ i)
-        n_modes = int(rng.integers(1, 6))
-        a = np.zeros_like(gx, dtype=np.float64)
-        for _ in range(n_modes):
-            p = int(rng.integers(1, 4))
-            q = int(rng.integers(1, 4))
-            c = float(rng.uniform(-1.0, 1.0, ()))
-            a += c * np.sin(p * np.pi * gx) * np.sin(q * np.pi * gy)
-        u = solve_poisson(a)
-        out.append(
-            Sample(
-                coords=coords.astype(np.float32),
-                input=a.reshape(-1, 1).astype(np.float32),
-                target=u.reshape(-1, 1).astype(np.float32),
-                meta={"task": "poisson2d", "seed": seed ^ i, "resolution": resolution},
-            ).validate()
-        )
-    return out
+    return coords, a.reshape(-1, 1), solve_poisson(a).reshape(-1, 1)
+
+
+def gen_poisson2d(seed: int, resolution: int, samples: int) -> list[Sample]:
+    """Smooth random sources on a structured grid; targets from the direct solve."""
+    return _generate("poisson2d", _draw_poisson2d, seed, "resolution", resolution, samples)
 
 
 def radial_field(r: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
     return np.log(r / r_in) / np.log(r_out / r_in)
 
 
+def _draw_pointcloud_stress(rng: Rng, points: int):
+    # the annulus covers at least pi (1 - 0.35^2) / 4 = 68.9 % of the square, so 4 * points candidates
+    # hold too few points with probability 5.5e-48 at 64 points (the binomial tail), and less at more
+    r_out = 1.0
+    r_in = float(rng.uniform(0.15, 0.35, ()))
+    candidates = rng.uniform(-1.0, 1.0, (points * 4, 2)).astype(np.float64)
+    r = np.hypot(candidates[:, 0], candidates[:, 1])
+    inside = (r >= r_in) & (r <= r_out)
+    if np.count_nonzero(inside) < points:
+        raise DataError(f"annulus sampling kept fewer than {points} of {points * 4} candidate points")
+    coords, r = candidates[inside][:points], r[inside][:points]
+    dist_boundary = np.minimum(r - r_in, r_out - r)
+    inputs = np.stack([np.full_like(r, r_in), dist_boundary], axis=1)
+    return coords, inputs, radial_field(r, r_in, r_out).reshape(-1, 1)
+
+
 def gen_pointcloud_stress(seed: int, points: int, samples: int) -> list[Sample]:
     """Scattered points in an annulus; closed-form logarithmic radial target."""
-    for name, value in (("seed", seed), ("points", points), ("samples", samples)):
-        check_value(name, value, int, *GENERATOR_BOUNDS[name])
-    r_out = 1.0
-    out = []
-    for i in range(samples):
-        rng = Rng(seed ^ i)
-        r_in = float(rng.uniform(0.15, 0.35, ()))
-        accepted = np.empty((0, 2), dtype=np.float64)
-        attempts = 0
-        while accepted.shape[0] < points:
-            batch = rng.uniform(-1.0, 1.0, (points * 4, 2)).astype(np.float64)
-            attempts += batch.shape[0]
-            if attempts > 10**6:
-                raise DataError("annulus rejection sampling exceeded 1e6 attempts")
-            r = np.hypot(batch[:, 0], batch[:, 1])
-            keep = (r >= r_in) & (r <= r_out)
-            accepted = np.concatenate([accepted, batch[keep]], axis=0)
-        coords = accepted[:points]
-        r = np.hypot(coords[:, 0], coords[:, 1])
-        dist_boundary = np.minimum(r - r_in, r_out - r)
-        inputs = np.stack([np.full_like(r, r_in), dist_boundary], axis=1)
-        target = radial_field(r, r_in, r_out).reshape(-1, 1)
-        out.append(
-            Sample(
-                coords=coords.astype(np.float32),
-                input=inputs.astype(np.float32),
-                target=target.astype(np.float32),
-                meta={"task": "pointcloud_stress", "seed": seed ^ i, "points": points},
-            ).validate()
-        )
-    return out
+    return _generate("pointcloud_stress", _draw_pointcloud_stress, seed, "points", points, samples)
 
 
 GENERATORS = {

@@ -170,7 +170,7 @@ class Rng:
     """Deterministic counter-based generator (Philox 4x64).
 
     The same seed yields a bit-identical stream across runs and platforms;
-    per-sample streams are derived as ``seed ^ index``.
+    each generated sample draws from its own key, ``data.sample_keys``.
     """
 
     def __init__(self, seed: int):

@@ -238,6 +238,22 @@ def test_out_of_the_wrong_kind_exit_2_before_any_work(tmp_path, config_path, mon
     assert list(out.iterdir()) == [] if command == "bench" else out.read_text() == "kept"
 
 
+@pytest.mark.parametrize("name", ["checkpoint.pgck", "report.json"])
+def test_train_file_that_is_a_directory_exit_2_before_training(tmp_path, config_path, monkeypatch, capsys, name):
+    """train writes these two files into --out: either one existing as a directory is refused first."""
+    data, run_dir = run_gen(tmp_path), tmp_path / "run"
+    (run_dir / name).mkdir(parents=True)
+
+    def training(*args, **kwargs):
+        raise AssertionError("trained before the files train writes were checked")
+
+    monkeypatch.setattr(cli, "train", training)
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path), "--data", str(data), "--out", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: --out {run_dir / name} is a directory\n"
+    assert [p.name for p in run_dir.iterdir()] == [name]
+
+
 def _config_bytes(**model) -> bytes:
     return json.dumps({"model": {**DESK_CONFIG["model"], **model}}).encode()
 
@@ -481,8 +497,21 @@ class TestBench:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert calls == []
 
-    def test_unsorted_sizes_rejected(self, tmp_path, config_path):
-        assert main(["bench", "--config", str(config_path), "--sizes", "128,64", "--out", str(tmp_path / "b.csv")]) == 2
+    def test_unsorted_sizes_rejected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "new" / "sub" / "b.csv"
+        assert main(["bench", "--config", str(config_path), "--sizes", "128,64", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: --sizes must be ascending, got [128, 64]\n"
+        assert not (tmp_path / "new").exists()
+
+    def test_dense_sibling_that_is_a_directory_exit_2_before_measuring(self, tmp_path, config_path, monkeypatch,
+                                                                       capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: calls.append(args) or [])
+        dense = tmp_path / "b_dense.csv"
+        dense.mkdir()
+        assert main(["bench", "--config", str(config_path), "--sizes", "64", "--out", str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: --out {dense} is a directory\n"
+        assert calls == [] and not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize(
         "extra",

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pgot import engine
+from pgot import data, engine
 from pgot.data import (
     NormStats,
     Sample,
@@ -18,6 +18,7 @@ from pgot.data import (
     read_dataset,
     read_manifest,
     read_sample,
+    sample_keys,
     solve_poisson,
     write_dataset,
     write_sample,
@@ -100,10 +101,26 @@ class TestPointCloud:
         assert abs(radial_field(np.array([mid]), r_in, r_out)[0] - 0.5) < 1e-12
 
     def test_points_inside_annulus(self):
-        for s in gen_pointcloud_stress(5, 128, 3):
-            r = np.hypot(s.coords[:, 0], s.coords[:, 1])
-            r_in = s.input[0, 0]
-            assert np.all(r >= r_in - 1e-6) and np.all(r <= 1.0 + 1e-6)
+        """Every sample has all its points inside, over many seeds at 64 points: the size where 4 * points
+        candidates are likeliest to hold too few."""
+        for seed, points, samples in [(5, 128, 3)] + [(seed, 64, 250) for seed in (0, 1, 2**64, 2**128 - 2**10)]:
+            for s in gen_pointcloud_stress(seed, points, samples):
+                r = np.hypot(s.coords[:, 0], s.coords[:, 1])
+                r_in = s.input[0, 0]
+                assert s.coords.shape == (points, 2)
+                assert np.all(r >= r_in - 1e-6) and np.all(r <= 1.0 + 1e-6)
+
+    def test_too_few_candidates_inside_raise_data_error(self, monkeypatch):
+        class Corner:  # every draw is 1: r_in = 1, and every candidate sits at (1, 1), outside the annulus
+            def __init__(self, key):
+                pass
+
+            def uniform(self, low, high, shape):
+                return np.ones(shape, dtype=np.float32)
+
+        monkeypatch.setattr(data, "Rng", Corner)
+        with pytest.raises(DataError, match="annulus sampling kept fewer than 64 of 256"):
+            gen_pointcloud_stress(0, 64, 1)
 
     def test_deterministic(self):
         a = gen_pointcloud_stress(6, 128, 2)
@@ -111,6 +128,14 @@ class TestPointCloud:
         for s1, s2 in zip(a, b):
             assert np.array_equal(s1.coords, s2.coords)
             assert np.array_equal(s1.target, s2.target)
+
+
+class TestSampleKeys:
+    @pytest.mark.parametrize("generator, size", [(gen_poisson2d, 8), (gen_pointcloud_stress, 64)],
+                             ids=["poisson2d", "pointcloud_stress"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**128 - 1])
+    def test_keys_are_the_generated_samples_seeds(self, generator, size, seed):
+        assert sample_keys(seed, 6) == [s.meta["seed"] for s in generator(seed, size, 6)]
 
 
 class TestFormat:

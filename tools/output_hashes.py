@@ -3,7 +3,9 @@
 Each output is computed in float32 mode (``f32/`` names) and inside
 ``engine.float64_mode`` (``f64/`` names):
 
-* ``gen.*``: the samples of ``gen_poisson2d(7, 16, 2)`` and ``gen_pointcloud_stress(3, 64, 2)``;
+* ``gen.*``: the samples of ``gen_poisson2d(7, 16, 2)`` and ``gen_pointcloud_stress(3, 64, 2)``, and
+  at the largest size each generator takes, ``gen.poisson2d.R64`` (``gen_poisson2d(7, 64, 2)``) and
+  ``gen.pointcloud_stress.P2048`` (``gen_pointcloud_stress(3, 2048, 2)``);
 * ``dataset.train``: every file ``write_dataset`` writes for those Poisson samples, in
   sorted name order; ``dataset.test``: the same for ``gen_poisson2d(99, 16, 2)`` written
   against that train split's statistics; ``dataset.read``: the samples and the ``NormStats``
@@ -143,6 +145,8 @@ def hashes(sizes: list[int], workdir: Path):
     poisson = gen_poisson2d(7, 16, 2)
     yield "gen.poisson2d", digest(*sample_arrays(poisson))
     yield "gen.pointcloud_stress", digest(*sample_arrays(gen_pointcloud_stress(3, 64, 2)))
+    yield "gen.poisson2d.R64", digest(*sample_arrays(gen_poisson2d(7, 64, 2)))
+    yield "gen.pointcloud_stress.P2048", digest(*sample_arrays(gen_pointcloud_stress(3, 2048, 2)))
     yield "dataset.train", dataset(poisson, workdir / "dataset", "poisson2d")
     yield "dataset.test", dataset(gen_poisson2d(99, 16, 2), workdir / "test", "poisson2d", compute_stats(poisson))
     yield "dataset.read", read_back(workdir / "dataset")
