@@ -127,6 +127,8 @@ def cmd_bench(args) -> int:
 def cmd_inspect(args) -> int:
     out_dir = _check_out(args.out, directory=True)
     model = load_checkpoint(args.checkpoint)
+    for key in model.inspected_layers():  # the dumps' names, checked before any work
+        _check_out(out_dir / f"{key}.csv", directory=False)
     sample = read_sample(args.sample)
     check_dims(model.config, [sample])
     # the model reads normalized inputs, as in `pgot eval`: take the stats of the dataset the sample sits in

@@ -137,11 +137,7 @@ class PgotModel(Module):
         Layers without one (dense attention, plain FFN) give no key. The layers keep
         nothing afterwards, whether ``predict`` returns or raises.
         """
-        kept = {}  # key -> (layer, the attribute that holds its array)
-        for i, block in enumerate(self.blocks):
-            for kind, layer, attr in (("assignment", block.attn, "last_assignment"), ("gate", block.ffn, "last_gate")):
-                if hasattr(layer, "cache_enabled"):
-                    kept[f"layer{i}_{kind}"] = (layer, attr)
+        kept = self.inspected_layers()
         try:
             for layer, _ in kept.values():
                 layer.cache_enabled = True
@@ -151,6 +147,15 @@ class PgotModel(Module):
             for layer, attr in kept.values():
                 layer.cache_enabled = False
                 setattr(layer, attr, None)
+
+    def inspected_layers(self) -> dict:
+        """``inspect``'s keys, in its order, each -> (layer, the attribute that holds its array)."""
+        kept = {}
+        for i, block in enumerate(self.blocks):
+            for kind, layer, attr in (("assignment", block.attn, "last_assignment"), ("gate", block.ffn, "last_gate")):
+                if hasattr(layer, "cache_enabled"):
+                    kept[f"layer{i}_{kind}"] = (layer, attr)
+        return kept
 
     def embed(self, coords_norm: np.ndarray) -> np.ndarray:
         """Coordinate features fed to the lift and to every FFN gate."""

@@ -656,6 +656,26 @@ class TestInspect:
         assert sorted(p.name for p in dump.iterdir()) == written
         assert capsys.readouterr().out == f"wrote {len(written)} inspection dumps to {dump}\n"
 
+    @pytest.mark.parametrize("kind", ["assignment", "gate"])
+    def test_dump_that_is_a_directory_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, kind):
+        """Every dump name follows from the checkpoint's config, so one existing as a directory is refused
+        before the model runs or any dump is written."""
+        data = run_gen(tmp_path)
+        path = tmp_path / "m.pgck"
+        save_checkpoint(PgotModel(ModelConfig(**{**DESK_CONFIG["model"], "layers": 2})), path)
+        dump = tmp_path / "dump"
+        (dump / f"layer1_{kind}.csv").mkdir(parents=True)
+
+        def inspected(*args, **kwargs):
+            raise AssertionError("ran the model before the dump paths were checked")
+
+        monkeypatch.setattr(PgotModel, "inspect", inspected)
+        capsys.readouterr()
+        argv = ["inspect", "--checkpoint", str(path), "--sample", str(data / "sample_0000.pgds"), "--out", str(dump)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: --out {dump / f'layer1_{kind}.csv'} is a directory\n"
+        assert [p.name for p in dump.iterdir()] == [f"layer1_{kind}.csv"]
+
     def test_dump_contents(self, tmp_path, config_path):
         data = run_gen(tmp_path)
         run_dir = tmp_path / "run"

@@ -671,6 +671,39 @@ def _mode(mode):
     return engine.float64_mode() if mode == "float64_mode" else contextlib.nullcontext()
 
 
+def _copysign_erf_f32(x):
+    """The float32 erf over the whole array, its sign copied with ``np.copysign``."""
+    t = np.abs(x)
+    t *= np.float32(0.3275911)
+    t += 1.0
+    np.reciprocal(t, out=t)
+    y = t * np.float32(1.061405429)
+    for c in (-1.453152027, 1.421413741, -0.284496736, 0.254829592):
+        y += np.float32(c)
+        y *= t
+    np.multiply(x, x, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    y *= t
+    np.subtract(1.0, y, out=y)
+    return np.copysign(y, x, out=y)
+
+
+def _unblocked_gelu(x):
+    """GELU and its derivative over the whole array at once: the bits the blocked kernel must give."""
+    cdf = x * engine._INV_SQRT2
+    cdf = _copysign_erf_f32(cdf) if x.dtype == np.float32 else erf(cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    d = x * x
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= engine._INV_SQRT2PI
+    d *= x
+    d += cdf
+    return x * cdf, d
+
+
 def _gelu_points(dtype):
     """+-0, a sweep of |x| up to 10, and neighbours of the erf argument 1 (x = sqrt(2)),
     where scipy's erf changes formula, and of tiny and subnormal inputs."""
@@ -692,19 +725,10 @@ def test_gelu_gradient_is_the_derivative_times_g_bit_for_bit(recorded, mode):
         with Tape():
             out = engine.gelu(Tensor(x, requires_grad=True)).data
         (grad,) = recorded[0][2](g)
-    cdf = x * engine._INV_SQRT2
-    cdf = engine._erf_f32(cdf) if dtype == np.float32 else erf(cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    d = x * x
-    d *= -0.5
-    np.exp(d, out=d)
-    d *= engine._INV_SQRT2PI
-    d *= x
-    d += cdf
+    want, d = _unblocked_gelu(x)
     d *= g
     assert grad.dtype == out.dtype == dtype
-    assert np.array_equal(out, x * cdf)
+    assert np.array_equal(out, want)
     assert np.array_equal(grad, d)
     assert np.array_equal(np.signbit(grad), np.signbit(d))
 
@@ -721,6 +745,59 @@ def test_gelu_off_the_tape_records_nothing_and_keeps_its_bits(recorded, mode):
     assert len(recorded) == 1
     assert free._node is None and const._node is None and taped._node is not None
     assert free.data.tobytes() == const.data.tobytes() == taped.data.tobytes()
+
+
+# signed zeros, infinities, NaNs of either sign, subnormals and the largest finite values
+_SPECIAL_F32 = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45, 1e-40, -1e-40, 3.4e38, -3.4e38], np.float32
+)
+
+
+@pytest.mark.parametrize("mode", ["float32", "float64_mode"])
+@pytest.mark.parametrize(
+    "shape",
+    # one block per 2^16 elements: whole blocks, a partial last block, a stack, a row wider than a block,
+    # 1-D and 0-d (a Tensor stores 0-d values as shape (1,))
+    [(8192, 64), (1025, 64), (3, 2048, 48), (1, 70000), (100_003,), ()],
+)
+def test_gelu_blocks_keep_the_bits_of_one_pass(recorded, mode, shape):
+    """Output and recorded derivative, recorded or not, are bitwise those of the unblocked formula."""
+    assert engine._GELU_BLOCK == 1 << 16
+    with _mode(mode), np.errstate(all="ignore"):
+        x = Tensor(np.random.default_rng(9).normal(0.0, 4.0, shape)).data
+        flat = x.reshape(-1)
+        # special values at the start, on both sides of every block edge and at the end
+        for edge in [0, *range(engine._GELU_BLOCK - 6, flat.size - 6, engine._GELU_BLOCK), flat.size - 12]:
+            if edge >= 0:
+                flat[edge:edge + 12] = _SPECIAL_F32[: flat.size - edge]
+        out, d = _unblocked_gelu(x)
+        free = engine.gelu(Tensor(x)).data
+        with Tape():
+            taped = engine.gelu(Tensor(x, requires_grad=True)).data
+        (derivative,) = recorded[0][2](np.ones_like(x))
+    assert free.dtype == taped.dtype == derivative.dtype == x.dtype
+    assert free.tobytes() == out.tobytes() == taped.tobytes()
+    assert derivative.tobytes() == d.tobytes()
+
+
+def test_float32_erf_copies_the_sign_of_every_input():
+    """The bitwise sign copy is ``np.copysign``: at signed zeros, infinities, NaNs and subnormals too."""
+    with np.errstate(all="ignore"):
+        got, want = engine._erf_f32(_SPECIAL_F32), _copysign_erf_f32(_SPECIAL_F32)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(_SPECIAL_F32))
+
+
+def test_unrecorded_gelu_holds_its_output_and_two_blocks():
+    x = Tensor(np.random.default_rng(10).normal(0.0, 2.0, (65536, 64)))
+    block = engine._GELU_BLOCK * x.data.itemsize
+    tracemalloc.start()
+    try:
+        out = engine.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + 2 * block + 64 * 1024
 
 
 def test_dropout_keeps_a_bool_mask(recorded):

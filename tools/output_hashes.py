@@ -20,6 +20,9 @@ Each output is computed in float32 mode (``f32/`` names) and inside
   ``f`` 8 (the default) and 24 (the largest), for the 16x16 grid of ``gen_poisson2d``
   (``grid16``), a 9x9 grid (``grid9``) and each size's ``bench._random_cloud``
   (``random_cloud.N<n>``);
+* ``engine.gelu.<shape>``: ``engine.gelu`` of a normal(0, 3) array drawn with numpy's own generator,
+  off the tape and on it, and the gradient ``sum`` sends back to its input, which is the recorded
+  derivative, for an (8192, 64) array and a (3, 1023, 48) stack;
 * ``fwdbwd.<config>.N<n>``: the predictions and every parameter gradient of two
   fwd+bwd passes, for the default config, a ``d_a=2, d_u=3, slices=5`` config, a
   ``dropout=0.3, gate_force="half"`` config predicted with ``training=True``, and a
@@ -111,6 +114,15 @@ def fwdbwd(config: ModelConfig, training: bool, n: int) -> str:
     return digest(*arrays)
 
 
+def gelu(shape: tuple) -> str:
+    data = np.random.default_rng(len(shape)).normal(0.0, 3.0, shape)
+    x = Tensor(data, requires_grad=True)
+    with Tape() as tape:
+        out = engine.gelu(x)
+        tape.backward(engine.sum_(out))
+    return digest(engine.gelu(Tensor(data)).data, out.data, x.grad)
+
+
 def inspect(n: int) -> str:
     config = ModelConfig()
     a, coords, _ = cloud(n, config)
@@ -160,6 +172,8 @@ def hashes(sizes: list[int], workdir: Path):
     for mesh, coords in meshes.items():
         for f in (8, 24):
             yield f"geometry.pos_embed.{mesh}.F{f}", digest(Tensor(pos_embed(normalize_coords(coords), f)).data)
+    for shape in ((8192, 64), (3, 1023, 48)):
+        yield f"engine.gelu.{'x'.join(map(str, shape))}", gelu(shape)
     for name, (config, training) in CONFIGS.items():
         for n in sizes:
             yield f"fwdbwd.{name}.N{n}", fwdbwd(config, training, n)
