@@ -89,7 +89,11 @@ def compute_stats(samples: list[Sample]) -> NormStats:
     ``ndarray.std`` run, on arrays of the same shapes, so the statistics keep
     their bits; summing per sample instead would not (numpy adds a
     1-channel column pairwise). A zero standard deviation becomes 1.0.
+    Samples whose channel counts disagree raise ``DataError``.
     """
+    channels = {(s.input.shape[1], s.target.shape[1]) for s in samples}
+    if len(channels) > 1:
+        raise DataError(f"samples disagree on channel counts (input, target): {sorted(channels)}")
     return NormStats(*_field_stats([s.input for s in samples]), *_field_stats([s.target for s in samples]))
 
 
@@ -292,8 +296,8 @@ def write_dataset(samples: list[Sample], out_dir, task: str, stats: NormStats | 
 
     With no ``stats`` this is a train split, which computes its own
     normalization statistics; given the train split's ``stats``, a test split.
-    A sample whose channel counts differ from the statistics is refused
-    before anything is created.
+    A sample whose channel counts differ from the statistics, or in a train
+    split from another sample's, is refused before anything is created.
     """
     out_dir = Path(out_dir)
     split = "train" if stats is None else "test"

@@ -23,10 +23,10 @@ and normalized coordinates are float32 in both modes.
   elementwise op. In float32 mode GELU uses a float32 polynomial ``erf``
   (Abramowitz & Stegun 7.1.26, absolute error below 1e-6) whose sign is
   copied with integer ops on the bits; ``float64_mode`` keeps scipy's exact
-  ``erf`` for gradient checks. GELU runs over blocks of at most
-  ``_GELU_BLOCK`` elements, so its scratch stays in L2 and is two blocks,
-  not arrays of the input's size; every element keeps the bits of one
-  unblocked pass.
+  ``erf`` for gradient checks. GELU walks every input's flattened view in
+  blocks of at most ``_GELU_BLOCK`` elements (an input that size or smaller
+  is one block), so its scratch stays in L2 and is two blocks, not arrays
+  of the input's size; every element keeps the bits of one unblocked pass.
 * 64-bit accumulation: ``matmul(..., accumulate64=True)``, that is slice
   attention's ``A^T x``, a sum over mesh points, and its gradient ``A g``
   with respect to ``x``, a sum over the M slices; ``sum_``/``mean_``,
@@ -159,8 +159,8 @@ def reset_alloc_stats() -> None:
 def alloc_stats() -> dict:
     """Cumulative bytes allocated for tensor storage since the last reset.
 
-    ``max_single`` is the largest single tensor allocated; used to assert
-    that no N-by-N intermediate exists in the linear-attention path.
+    ``max_single`` is the largest single tensor allocated. Read by perfbench,
+    for its ``engine.alloc_*`` and ``engine.max_single_bytes`` metrics.
     """
     return dict(_ALLOC)
 
@@ -503,17 +503,12 @@ def gelu(a: Tensor) -> Tensor:
     data = np.empty_like(x)
     # backward reads only the derivative cdf + x*pdf: the record holds neither x nor cdf
     d = np.empty_like(x) if _recording((a,)) else None
-    if x.size <= _GELU_BLOCK:  # no views: small calls pay no more than an unblocked GELU
-        _gelu_block(x, data, d)
-    else:
-        # elementwise, so blocks keep every bit; each block's scratch stays in L2
-        flat_x, flat_out = x.reshape(-1), data.reshape(-1)
-        flat_d = None if d is None else d.reshape(-1)
-        for start in range(0, x.size, _GELU_BLOCK):
-            end = start + _GELU_BLOCK
-            _gelu_block(flat_x[start:end], flat_out[start:end], None if d is None else flat_d[start:end])
-    if d is None:
-        return Tensor(data)
+    # elementwise, so blocks keep every bit; each block's scratch stays in L2
+    flat_x, flat_out = x.reshape(-1), data.reshape(-1)
+    flat_d = None if d is None else d.reshape(-1)
+    for start in range(0, x.size, _GELU_BLOCK):
+        end = start + _GELU_BLOCK
+        _gelu_block(flat_x[start:end], flat_out[start:end], None if d is None else flat_d[start:end])
 
     def bwd(g):
         return (d * g,)

@@ -446,7 +446,7 @@ class TestBench:
             assert [r[0] for r in rows[1:]] == ["64", "128"]
             assert all(int(r[5]) > 0 for r in rows[1:])
 
-    def test_peak_bytes_is_one_forward_peak(self):
+    def test_peak_bytes_is_one_forward_peak(self, tensor_bytes):
         config = ModelConfig.from_dict(DESK_CONFIG["model"])
         sizes = [64, 128]
         records = bench.run_bench(config, sizes, repeats=1)
@@ -454,12 +454,12 @@ class TestBench:
         for n, record in zip(sizes, records):
             a, coords = bench._random_cloud(rng, n, config.d, config.d_a)
             model.predict(a, coords)  # warm, as run_bench's traced pass is
-            engine.reset_alloc_stats()
+            tensor_bytes["total"] = 0
             peak = bench._traced_peak_bytes(lambda: model.predict(a, coords))
             # not bit-exact: repeated passes spread by about 100 B
             assert abs(record.peak_bytes - peak) <= 1024
             # a peak, not the sum of the pass's allocations
-            assert record.peak_bytes < engine.alloc_stats()["bytes"]
+            assert record.peak_bytes < tensor_bytes["total"]
 
     def test_cloud_depends_only_on_its_size(self, monkeypatch):
         config = ModelConfig.from_dict(DESK_CONFIG["model"])

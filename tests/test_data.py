@@ -266,6 +266,12 @@ class TestDatasetDir:
         assert test_manifest["split"] == "test"
         assert test_manifest["normalization"] == train_manifest["normalization"]
 
+    def test_train_split_with_mixed_channel_counts_is_refused(self, tmp_path):
+        samples = gen_poisson2d(0, 8, 1) + gen_pointcloud_stress(0, 64, 1)  # 1 and 2 input channels
+        with pytest.raises(DataError, match="channel counts"):
+            write_dataset(samples, tmp_path / "ds", task="poisson2d")
+        assert not (tmp_path / "ds").exists()
+
     def test_read_manifest_returns_its_stats(self, tmp_path):
         write_dataset(gen_pointcloud_stress(5, 64, 2), tmp_path / "ds", task="pointcloud_stress")
         manifest, stats = read_manifest(tmp_path / "ds" / "manifest.json")

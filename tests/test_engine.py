@@ -757,8 +757,8 @@ _SPECIAL_F32 = np.array(
 @pytest.mark.parametrize(
     "shape",
     # one block per 2^16 elements: whole blocks, a partial last block, a stack, a row wider than a block,
-    # 1-D and 0-d (a Tensor stores 0-d values as shape (1,))
-    [(8192, 64), (1025, 64), (3, 2048, 48), (1, 70000), (100_003,), ()],
+    # 1-D, 0-d (a Tensor stores 0-d values as shape (1,)), one partial block and exactly one block
+    [(8192, 64), (1025, 64), (3, 2048, 48), (1, 70000), (100_003,), (), (256, 16), (1024, 64), (2048, 32)],
 )
 def test_gelu_blocks_keep_the_bits_of_one_pass(recorded, mode, shape):
     """Output and recorded derivative, recorded or not, are bitwise those of the unblocked formula."""

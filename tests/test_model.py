@@ -134,14 +134,13 @@ class TestPredict:
         for perm in (np.argsort(rng.random((n,))), np.arange(n)[::-1]):
             assert np.array_equal(model.predict(a[perm], g[perm]).data, out[perm])
 
-    def test_no_quadratic_intermediate(self):
+    def test_no_quadratic_intermediate(self, tensor_bytes):
         model = PgotModel(ModelConfig())
         n = 1024
         rng = Rng(7)
         a, g = random_sample(rng, n=n)
-        engine.reset_alloc_stats()
         model.predict(a, g)
-        assert engine.alloc_stats()["max_single"] < n * n * 4
+        assert tensor_bytes["largest"] < n * n * 4
 
 
 # the configs whose stacked predict must give every field the bits of its own predict

@@ -18,5 +18,5 @@ def test_output_hashes_are_reproducible():
         assert run.returncode == 0, err
         outputs.append(out)
     lines = outputs[0].splitlines()
-    assert len(lines) == 60 and all(line.startswith(("f32/", "f64/")) for line in lines)
+    assert len(lines) == 62 and all(line.startswith(("f32/", "f64/")) for line in lines)
     assert outputs[0] == outputs[1]

@@ -22,7 +22,8 @@ Each output is computed in float32 mode (``f32/`` names) and inside
   (``random_cloud.N<n>``);
 * ``engine.gelu.<shape>``: ``engine.gelu`` of a normal(0, 3) array drawn with numpy's own generator,
   off the tape and on it, and the gradient ``sum`` sends back to its input, which is the recorded
-  derivative, for an (8192, 64) array and a (3, 1023, 48) stack;
+  derivative, for a (256, 32) array (less than one ``engine._GELU_BLOCK``), an (8192, 64) array
+  and a (3, 1023, 48) stack;
 * ``fwdbwd.<config>.N<n>``: the predictions and every parameter gradient of two
   fwd+bwd passes, for the default config, a ``d_a=2, d_u=3, slices=5`` config, a
   ``dropout=0.3, gate_force="half"`` config predicted with ``training=True``, and a
@@ -172,7 +173,7 @@ def hashes(sizes: list[int], workdir: Path):
     for mesh, coords in meshes.items():
         for f in (8, 24):
             yield f"geometry.pos_embed.{mesh}.F{f}", digest(Tensor(pos_embed(normalize_coords(coords), f)).data)
-    for shape in ((8192, 64), (3, 1023, 48)):
+    for shape in ((256, 32), (8192, 64), (3, 1023, 48)):
         yield f"engine.gelu.{'x'.join(map(str, shape))}", gelu(shape)
     for name, (config, training) in CONFIGS.items():
         for n in sizes:
