@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import time
 import tracemalloc
 from dataclasses import dataclass, fields
@@ -46,7 +47,14 @@ def _time_us(fn, repeats: int) -> tuple[float, float, float]:
 
 
 def _traced_peak_bytes(fn) -> int:
-    """The most bytes ``fn`` holds at once, as tracemalloc sees them."""
+    """The most bytes ``fn`` holds at once, as tracemalloc sees them.
+
+    An object that the interpreter takes from a free list is not traced, so
+    the peak of one pass depends on what earlier code left in those lists: at
+    N=64 the first ``run_bench`` in a process read 1.9 KB more than later ones.
+    A full collection empties them first, so every pass starts from the same state.
+    """
+    gc.collect()
     tracemalloc.start()
     try:
         fn()

@@ -21,12 +21,16 @@ and normalized coordinates are float32 in both modes.
   ``accumulate64``, ``a^T g`` (no invariant pins gradients bit for bit),
   the LayerNorm row statistics (they never mix points) and every
   elementwise op. In float32 mode GELU uses a float32 polynomial ``erf``
-  (Abramowitz & Stegun 7.1.26, absolute error below 1e-6) whose sign is
-  copied with integer ops on the bits; ``float64_mode`` keeps scipy's exact
-  ``erf`` for gradient checks. GELU walks every input's flattened view in
-  blocks of at most ``_GELU_BLOCK`` elements (an input that size or smaller
-  is one block), so its scratch stays in L2 and is two blocks, not arrays
-  of the input's size; every element keeps the bits of one unblocked pass.
+  (Abramowitz & Stegun 7.1.26, absolute error below 1e-6), computed halved:
+  erf/2 by Horner in t/2 over coefficients scaled by powers of two, its
+  sign OR-ed in on the bits, and ``cdf = erf/2 + 0.5``. Every step is the
+  plain formula's step times a power of two, so the bits are those of
+  ``(1 + erf)/2``; ``tools/gelu_bits.py`` checks that over all 2^32 float32
+  inputs. ``float64_mode`` keeps scipy's exact ``erf`` for gradient checks.
+  GELU walks every input's flattened view in blocks of at most
+  ``_GELU_BLOCK`` elements (an input that size or smaller is one block), so
+  its scratch stays in L2 and is two blocks, not arrays of the input's
+  size; every element keeps the bits of one unblocked pass.
 * 64-bit accumulation: ``matmul(..., accumulate64=True)``, that is slice
   attention's ``A^T x``, a sum over mesh points, and its gradient ``A g``
   with respect to ``x``, a sum over the M slices; ``sum_``/``mean_``,
@@ -438,8 +442,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Abramowitz & Stegun 7.1.26: erf(x) ~ 1 - t*poly(t)*exp(-x^2), t = 1/(1 + p|x|)
 _ERF_P = np.float32(0.3275911)
 _ERF_COEFFS = tuple(np.float32(c) for c in (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
+# the coefficients times 16, 8, 4, 2 and 1: Horner in t/2 then gives each intermediate times a power of two
+_HALF_ERF_COEFFS = tuple(c * np.float32(2.0 ** (4 - k)) for k, c in enumerate(_ERF_COEFFS))
 _F32_SIGN = np.uint32(0x8000_0000)
-_F32_MAGNITUDE = np.uint32(0x7FFF_FFFF)
 
 # elements per GELU block (256 KiB of float32), so a block's input, output, derivative and the erf's two
 # buffers stay in a 2 MiB L2. Unrecorded (8192, 64), minimum per call on a 2-vCPU x86 VM: 2^14 2.5 ms,
@@ -454,26 +459,31 @@ def erf(x: np.ndarray) -> np.ndarray:
     return exact(x)
 
 
-def _erf_f32(x: np.ndarray) -> np.ndarray:
-    """float32 erf, within 1e-6 of the exact value; odd, exact at 0 and +-inf."""
+def _half_erf_f32(x: np.ndarray) -> np.ndarray:
+    """erf(x)/2 in float32, its double within 1e-6 of the exact erf; odd, exact at 0 and +-inf.
+
+    Every step is the float32 erf's step times a power of two, so the result is
+    that erf halved bit for bit: t/2 = 0.5/(1 + p|x|), Horner in t/2 over the
+    scaled coefficients, then 0.5 - y for 1 - y.
+    """
     t = np.abs(x)
     t *= _ERF_P
     t += 1.0
-    np.reciprocal(t, out=t)
-    y = t * _ERF_COEFFS[0]
-    for c in _ERF_COEFFS[1:]:
+    np.divide(0.5, t, out=t)
+    y = t * _HALF_ERF_COEFFS[0]
+    for c in _HALF_ERF_COEFFS[1:]:
         y += c
         y *= t
     # t is spent: reuse it for exp(-x^2), so only two buffers are live
-    np.multiply(x, x, out=t)
+    np.square(x, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
     y *= t
-    np.subtract(1.0, y, out=y)
-    # copysign(y, x) on the bits, as np.copysign has no vector loop: y's magnitude, x's sign
+    np.subtract(0.5, y, out=y)
+    # copysign(y, x) on the bits, as np.copysign has no vector loop: y is never negative, so OR-ing in x's sign
+    # bit is the copy
     sign = np.bitwise_and(x.view(np.uint32), _F32_SIGN, out=t.view(np.uint32))
     bits = y.view(np.uint32)
-    bits &= _F32_MAGNITUDE
     bits |= sign
     return y
 
@@ -481,16 +491,21 @@ def _erf_f32(x: np.ndarray) -> np.ndarray:
 def _gelu_block(x: np.ndarray, out: np.ndarray, d: Optional[np.ndarray]) -> None:
     """GELU of ``x`` into ``out`` and, unless ``d`` is None, its derivative into ``d``.
 
+    ``cdf`` is erf/2 + 0.5, which is (erf + 1)/2 bit for bit as halving is
+    exact; ``tools/gelu_bits.py`` checks that over all 2^32 float32 inputs.
     ``out`` holds ``x/sqrt2`` until ``cdf`` is known, so the erf's two buffers
     are the only scratch.
     """
     np.multiply(x, _INV_SQRT2, out=out)
-    cdf = _erf_f32(out) if x.dtype == np.float32 else erf(out)
-    cdf += 1.0
-    cdf *= 0.5
+    if x.dtype == np.float32:
+        cdf = _half_erf_f32(out)
+    else:
+        cdf = erf(out)
+        cdf *= 0.5
+    cdf += 0.5
     np.multiply(x, cdf, out=out)
     if d is not None:
-        np.multiply(x, x, out=d)
+        np.square(x, out=d)
         d *= -0.5
         np.exp(d, out=d)
         d *= _INV_SQRT2PI
@@ -629,7 +644,7 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
         nd = a.data.ndim
         axes = (*range(nd - 2), *reversed(range(nd)[-2:]))  # a 1-D tensor stays as it is
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     data = np.transpose(a.data, axes)
 
     def bwd(g):
@@ -699,8 +714,27 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a.max(axis, keepdims=True)`` as one ``np.maximum`` per slice along ``axis``.
+
+    numpy's reduction over a short axis runs one inner loop per row; K - 1
+    maximums over whole slices run K - 1 long loops instead. A maximum is
+    exact in any order and NaN wins either way, so the bits are the same,
+    except that a maximum of +0 and -0 may take either sign, which ``x - m``
+    and ``exp`` do not see.
+    """
+    lead = (slice(None),) * (axis % a.ndim)
+    k = a.shape[axis]
+    top = a[(*lead, slice(0, 1))]
+    if k > 1:
+        top = np.maximum(top, a[(*lead, slice(1, 2))])
+        for i in range(2, k):
+            np.maximum(top, a[(*lead, slice(i, i + 1))], out=top)
+    return top
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+    z = x.data - _max_keepdims(x.data, axis)
     e = np.exp(z)
     data = e / _accum_sum(e, axis=axis, keepdims=True)
 

@@ -14,17 +14,20 @@ from .layers import Linear, Mlp2, Module
 def normalize_coords(coords: np.ndarray) -> np.ndarray:
     """Affine map of the per-sample bounding box onto the unit cube.
 
-    A degenerate axis (max == min) maps to the constant 0.5.
+    A degenerate axis (max == min) maps to the constant 0.5. The work runs on
+    an axis-major (d, N) float64 copy, so each axis's extremes are one
+    contiguous reduction; the result is a C-ordered (N, d) float32 array.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    if not np.all(np.isfinite(coords)):
+    g = np.array(np.transpose(coords), dtype=np.float64, order="C")
+    if not np.all(np.isfinite(g)):
         raise DataError("coordinates contain NaN or Inf")
-    lo = coords.min(axis=0)
-    span = coords.max(axis=0) - lo
+    lo = g.min(axis=1, keepdims=True)
+    span = g.max(axis=1, keepdims=True) - lo
     flat = span == 0.0
-    out = (coords - lo) / np.where(flat, 1.0, span)
-    out[:, flat] = 0.5
-    return out.astype(np.float32)
+    g -= lo
+    g /= np.where(flat, 1.0, span)
+    g[flat[:, 0]] = 0.5
+    return np.ascontiguousarray(g.T, dtype=np.float32)
 
 
 ANCHOR_OCTAVES = 8
@@ -46,8 +49,13 @@ def pos_embed(coords_norm: np.ndarray, frequencies: int) -> np.ndarray:
     sine can exceed 1 in magnitude by that error (at most 1.1e-13 measured),
     so the float64 features lie in [-1, 1] up to it; their float32 cast,
     which the model reads, lies in [-1, 1].
+
+    Each pair is computed axis-major, on a C-ordered (d, N) float64 copy of
+    ``coords_norm``, where the arithmetic is the same per element. The result
+    is the transpose of their (columns, N) stack, a view, so the model's
+    float32 cast of it is the only (N, columns) copy.
     """
-    g = np.asarray(coords_norm, dtype=np.float64)
+    g = np.array(np.transpose(coords_norm), dtype=np.float64, order="C")
     feats = []
     for k in range(frequencies):
         if k % ANCHOR_OCTAVES == 0:
@@ -59,7 +67,7 @@ def pos_embed(coords_norm: np.ndarray, frequencies: int) -> np.ndarray:
         feats.append(s)
         feats.append(c)
     feats.append(g)
-    return np.concatenate(feats, axis=1)
+    return np.concatenate(feats, axis=0).T
 
 
 class GeometricEncoderBank(Module):

@@ -201,6 +201,37 @@ class TestSoftmax:
             {"x": rand(rng, 4, 5)},
         )
 
+    @staticmethod
+    def reduced(x, axis):
+        """Softmax with its maximum taken by numpy's reduction: the bits the per-slice maximum must give."""
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        return e / engine._accum_sum(e, axis=axis, keepdims=True)
+
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((6, 8), -1), ((6, 8), 1), ((6, 8), 0), ((5, 1), -1), ((1, 5), 0), ((3, 2048, 8), -1), ((3, 2048, 8), 1)],
+    )
+    def test_per_slice_maximum_keeps_the_bits_of_the_reduction(self, shape, axis):
+        k = shape[axis]
+        last = np.random.default_rng(15).normal(0.0, 3.0, np.moveaxis(np.empty(shape), axis, -1).shape)
+        rows = last.reshape(-1, k)  # a view: writes land in last
+        if k > 1:
+            rows[0] = 0.0
+            rows[1] = -0.0
+            rows[2] = 0.0
+            rows[2, ::2] = -0.0  # a maximum of +0 and -0 in either order
+            rows[3, :2] = -1.0
+            rows[3, 2] = np.inf
+            rows[4] = -np.inf
+            rows[5, 1] = np.nan
+        else:
+            rows[0], rows[1], rows[2] = 0.0, -0.0, np.nan
+        x = np.ascontiguousarray(np.moveaxis(last, -1, axis), dtype=np.float32)
+        with np.errstate(all="ignore"):
+            got = engine.softmax(Tensor(x), axis=axis).data
+            want = self.reduced(x, axis)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
@@ -282,7 +313,8 @@ class TestElementwise:
         x = np.concatenate(
             [np.linspace(-10.0, 10.0, 400_001), [0.0, -0.0, np.inf, -np.inf, np.nan]]
         ).astype(np.float32)
-        approx = engine._erf_f32(x)
+        approx = 2 * engine._half_erf_f32(x)
+        assert approx.tobytes() == _copysign_erf_f32(x).tobytes()
         exact = erf(x.astype(np.float64))
         assert approx.dtype == np.float32
         assert np.array_equal(np.isnan(approx), np.isnan(exact))
@@ -783,9 +815,22 @@ def test_gelu_blocks_keep_the_bits_of_one_pass(recorded, mode, shape):
 def test_float32_erf_copies_the_sign_of_every_input():
     """The bitwise sign copy is ``np.copysign``: at signed zeros, infinities, NaNs and subnormals too."""
     with np.errstate(all="ignore"):
-        got, want = engine._erf_f32(_SPECIAL_F32), _copysign_erf_f32(_SPECIAL_F32)
+        got, want = 2 * engine._half_erf_f32(_SPECIAL_F32), _copysign_erf_f32(_SPECIAL_F32)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(got), np.signbit(_SPECIAL_F32))
+
+
+def test_recorded_gelu_keeps_its_bits_over_a_sweep_of_float32_patterns(recorded):
+    """Every 4,099th float32 bit pattern and the special values; ``tools/gelu_bits.py`` checks all 2^32."""
+    patterns = np.arange(0, 1 << 32, 4099, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    x = np.concatenate([patterns, _SPECIAL_F32])
+    with np.errstate(all="ignore"):
+        with Tape():
+            out = engine.gelu(Tensor(x, requires_grad=True)).data
+        (derivative,) = recorded[0][2](np.ones_like(x))
+        want, d = _unblocked_gelu(x)
+    assert out.tobytes() == want.tobytes()
+    assert derivative.tobytes() == d.tobytes()
 
 
 def test_unrecorded_gelu_holds_its_output_and_two_blocks():

@@ -32,6 +32,32 @@ class TestNormalizeCoords:
         with pytest.raises(DataError):
             normalize_coords(np.array([[np.nan, 0.0]]))
 
+    @staticmethod
+    def row_major(coords):
+        """The map computed on the (N, d) array itself: the bits the axis-major copy must give."""
+        coords = np.asarray(coords, dtype=np.float64)
+        lo = coords.min(axis=0)
+        span = coords.max(axis=0) - lo
+        flat = span == 0.0
+        out = (coords - lo) / np.where(flat, 1.0, span)
+        out[:, flat] = 0.5
+        return out.astype(np.float32)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["contiguous", "degenerate-axis", "strided"])
+    def test_axis_major_keeps_the_bits_of_the_row_major_map(self, d, layout):
+        gen = np.random.default_rng(16)
+        coords = gen.uniform(-7.0, 13.0, (2 * 513, 2 * d))
+        if layout == "strided":
+            coords = coords[::2, ::2]
+        else:
+            coords = np.ascontiguousarray(coords[:513, :d], dtype=np.float32)
+        if layout == "degenerate-axis":
+            coords[:, -1] = 2.5
+        out = normalize_coords(coords)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert out.tobytes() == self.row_major(coords).tobytes()
+
 
 class TestPosEmbed:
     # the first 2 * frequencies * d columns are sinusoidal, the last d the raw g
@@ -85,6 +111,30 @@ class TestPosEmbed:
         assert np.array_equal(out[:, :2], np.sin(np.pi * g))
         assert np.array_equal(out[:, 2:4], np.cos(np.pi * g))
         assert np.array_equal(out[:, -2:], g)
+
+    @staticmethod
+    def row_major(g, frequencies):
+        """``pos_embed`` computed on the (N, d) array itself: the bits the axis-major copy must give."""
+        g = np.asarray(g, dtype=np.float64)
+        feats = []
+        for k in range(frequencies):
+            if k % 8 == 0:
+                x = (2.0**k) * g
+                angle = np.pi * (x - 2.0 * np.floor(0.5 * x))
+                s, c = np.sin(angle), np.cos(angle)
+            else:
+                s, c = 2.0 * s * c, 1.0 - 2.0 * s * s
+            feats += [s, c]
+        return np.concatenate(feats + [g], axis=1)
+
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    @pytest.mark.parametrize("frequencies", [1, 8, 9, 24])
+    def test_axis_major_keeps_the_bits_of_the_row_major_features(self, mesh, frequencies):
+        g = self.MESHES[mesh]()
+        out = pos_embed(g, frequencies)
+        want = self.row_major(g, frequencies)
+        assert out.shape == want.shape and out.dtype == np.float64
+        assert np.ascontiguousarray(out).tobytes() == want.tobytes()
 
     def test_float32_bounded_at_most_frequencies(self):
         out = pos_embed(self.MESHES["random"](), frequencies=24).astype(np.float32)
