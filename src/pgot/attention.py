@@ -122,8 +122,8 @@ class SpecGeoAttention(Module):
 class DenseAttention(Module):
     """Quadratic full self-attention over all N points (benchmark contrast).
 
-    Coded separately from the latent MHSA on purpose; it allocates N-by-N
-    score matrices per head.
+    A ``LatentMhsa`` over the N points in place of the M slice tokens; it
+    allocates N-by-N score matrices per head.
     """
 
     def __init__(self, rng: Rng, width: int, heads: int):

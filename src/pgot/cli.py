@@ -11,7 +11,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -20,12 +19,12 @@ import numpy as np
 
 from .bench import run_bench, write_bench_csv
 from .data import (
-    GENERATOR_BOUNDS, GENERATORS, MANIFEST_NAME, NormStats, check_value, normalize, read_dataset, read_json_object,
+    GENERATOR_BOUNDS, GENERATORS, MANIFEST_NAME, NormStats, check_values, normalize, read_dataset, read_json_object,
     read_manifest, read_sample, require_object, sample_keys, write_dataset
 )
 from .errors import ConfigError, DataError, MetricError, NumericalError
 from .model import ModelConfig, check_dims, load_checkpoint
-from .training import check_training_values, evaluate, train
+from .training import TRAINING_BOUNDS, evaluate, train
 
 EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1
@@ -33,9 +32,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-# [low, high) of each integer flag, and of each --sizes entry; bench also runs dense N x N attention at
+# (kind, low[, high]) of each integer flag, and of each --sizes entry; bench also runs dense N x N attention at
 # every size, so sizes stop at twice the largest the README uses
-FLAG_BOUNDS = {**GENERATOR_BOUNDS, "sizes": (1, 16385), "repeats": (1, math.inf)}
+FLAG_BOUNDS = {**GENERATOR_BOUNDS, "sizes": (int, 1, 16385), "repeats": (int, 1)}
 
 
 def _load_config_file(path) -> tuple[ModelConfig, dict]:
@@ -45,9 +44,11 @@ def _load_config_file(path) -> tuple[ModelConfig, dict]:
             raw = read_json_object(fh.read(), "config file", ConfigError)
     except OSError as exc:  # missing, a directory, unreadable: the config is at fault, not the data
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    if not set(raw) <= {"model", "training"}:
+        raise ConfigError(f'a config holds only "model" and "training", got keys {sorted(raw)!r:.60}')
     model_config = ModelConfig.from_dict(raw.get("model"))
     training = require_object(raw.get("training", {}), '"training"', ConfigError)
-    check_training_values(**training)
+    check_values(training, TRAINING_BOUNDS, "training ", ConfigError)
     return model_config, training
 
 
@@ -204,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args) -> None:
     """Check each integer flag the command takes, and each --sizes entry, against ``FLAG_BOUNDS``, and that
     --sizes ascends, before a command creates anything."""
-    for flag, bounds in FLAG_BOUNDS.items():
+    for flag in FLAG_BOUNDS:
         value = getattr(args, flag, [])
         for item in value if isinstance(value, list) else [value]:
-            check_value(f"--{flag}", item, int, *bounds, error=ConfigError)
+            check_values({flag: item}, FLAG_BOUNDS, "--", ConfigError)
     sizes = getattr(args, "sizes", [])
     if sizes != sorted(sizes):
         raise ConfigError(f"--sizes must be ascending, got {sizes}")

@@ -24,9 +24,9 @@ from .errors import BadMagicError, DataError, TruncatedError, VersionError
 SAMPLE_MAGIC = b"PGDS"
 SAMPLE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-# [low, high) of each generator argument; `pgot gen` reads the same bounds for its flags. A seed is a
-# Philox key, which has 128 bits; a model's seed shares the bound
-GENERATOR_BOUNDS = {"seed": (0, 2**128), "samples": (1, math.inf), "resolution": (8, 65), "points": (64, 2049)}
+# (kind, low[, high]) of each generator argument, the format of every bounds table: [low, high), no high is
+# unbounded. `pgot gen` reads them for its flags. A seed is a Philox key, 128 bits; a model's shares the bound
+GENERATOR_BOUNDS = dict(seed=(int, 0, 2**128), samples=(int, 1), resolution=(int, 8, 65), points=(int, 64, 2049))
 
 
 @dataclass
@@ -162,8 +162,7 @@ def sample_keys(seed: int, samples: int) -> list[int]:
 def _generate(task: str, draw, seed: int, size_name: str, size: int, samples: int) -> list[Sample]:
     """``samples`` samples of ``task``, one per key of ``sample_keys``, each from ``draw(Rng(key), size)``,
     which returns its (coords, input, target) arrays."""
-    for name, value in (("seed", seed), (size_name, size), ("samples", samples)):
-        check_value(name, value, int, *GENERATOR_BOUNDS[name])
+    check_values({"seed": seed, size_name: size, "samples": samples}, GENERATOR_BOUNDS)
     out = []
     for key in sample_keys(seed, samples):
         coords, inputs, target = (arr.astype(np.float32) for arr in draw(Rng(key), size))
@@ -355,6 +354,14 @@ def check_value(name: str, value, kind: type, low=-math.inf, high=math.inf, erro
         bounds = "" if kind is bool else f" in [{low}, {high})"
         raise error(f"{name} must be {kind.__name__}{bounds}, got {got or repr(value)[:40]}")
     return value
+
+
+def check_values(values: dict, bounds: dict, what: str = "", error: type[Exception] = DataError) -> None:
+    """``check_value(what + name, value, *bounds[name], error=error)`` per item; a name not in ``bounds`` raises."""
+    for name, value in values.items():
+        if name not in bounds:
+            raise error(f"unknown {what}field {name!r:.40}")
+        check_value(what + name, value, *bounds[name], error=error)
 
 
 def read_manifest(path) -> tuple[dict, NormStats]:

@@ -5,16 +5,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import engine, geometry
 from .attention import DenseAttention, SpecGeoAttention
 from .engine import Rng, Tensor
-from .data import (
-    GENERATOR_BOUNDS, check_value, create_record, open_record, read_exact, read_json_object, read_u32, write_u32
-)
+from .data import GENERATOR_BOUNDS, check_values, create_record, open_record, read_exact, read_json_object, read_u32
+from .data import require_object, write_u32
 from .errors import ConfigError, DataError, NumericalError
 from .ffn import GATE_FORCE_MODES, PlainFFN, TaylorDecompFFN
 from .geometry import normalize_coords
@@ -23,14 +22,14 @@ from .layers import LayerNorm, Mlp2, Module
 CHECKPOINT_MAGIC = b"PGCK"
 CHECKPOINT_VERSION = 1
 
-# the kind of each numeric ModelConfig annotation; gate_force, the one string, must be in GATE_FORCE_MODES
-FIELD_KINDS = {"int": int, "float": float, "bool": bool}
-# [low, high) of each numeric field; the seed's is the generators'. The size bounds sit far above the
-# paper's models and refuse what cannot be built: scale s multiplies coordinates by 10^(s-1), and past
-# 24 frequencies 2^k * pi * g is a multiple of pi for float32 coordinates g >= 0.5
-FIELD_BOUNDS = dict.fromkeys(("width", "heads", "d_a", "d_u"), (1, 1025))
-FIELD_BOUNDS.update(layers=(1, 33), slices=(2, 1025), scales=(1, 9), d=(1, 17), pe_frequencies=(1, 25))
-FIELD_BOUNDS.update(dropout=(0.0, 1.0), seed=GENERATOR_BOUNDS["seed"])
+# (kind, low[, high]) of every ModelConfig field but gate_force, which must be in GATE_FORCE_MODES; the seed's
+# is the generators'. The size bounds sit far above the paper's models and refuse what cannot be built:
+# scale s multiplies coordinates by 10^(s-1), and past 24 frequencies 2^k * pi * g is a multiple of pi for
+# float32 coordinates g >= 0.5
+FIELD_BOUNDS = dict.fromkeys(("width", "heads", "d_a", "d_u"), (int, 1, 1025))
+FIELD_BOUNDS.update(layers=(int, 1, 33), slices=(int, 2, 1025), scales=(int, 1, 9), d=(int, 1, 17))
+FIELD_BOUNDS.update(pe_frequencies=(int, 1, 25), dropout=(float, 0.0, 1.0), seed=GENERATOR_BOUNDS["seed"])
+FIELD_BOUNDS.update(dict.fromkeys(("disable_sga", "disable_tdf", "dense_attention"), (bool,)))
 
 
 @dataclass
@@ -53,10 +52,7 @@ class ModelConfig:
     dense_attention: bool = False
 
     def validate(self) -> "ModelConfig":
-        for f in fields(self):
-            if f.type in FIELD_KINDS:
-                bounds = FIELD_BOUNDS.get(f.name, ())  # none for the switches
-                check_value(f.name, getattr(self, f.name), FIELD_KINDS[f.type], *bounds, error=ConfigError)
+        _check_fields(vars(self))
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.gate_force not in GATE_FORCE_MODES:
@@ -68,17 +64,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f'"model" must be a JSON object, got {data!r:.40}')
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        _check_fields(require_object(data, '"model"', ConfigError))  # before an unknown name reaches cls()
         return cls(**data).validate()
 
     def hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _check_fields(values: dict) -> None:
+    check_values({k: v for k, v in values.items() if k != "gate_force"}, FIELD_BOUNDS, error=ConfigError)
 
 
 class PhysGeoBlock(Module):

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import engine
-from .data import NormStats, Sample, check_value, denormalize, normalize
+from .data import NormStats, Sample, check_values, denormalize, normalize
 from .engine import Tape, Tensor
 from .errors import ConfigError, MetricError, NumericalError
 from .model import ModelConfig, PgotModel, check_dims, save_checkpoint
@@ -22,16 +22,21 @@ from .model import ModelConfig, PgotModel, check_dims, save_checkpoint
 # ---------------------------------------------------------------------------
 
 
+def _reference_norm(u: np.ndarray) -> float:
+    """Float64 L2 norm by numpy's sum, not the BLAS, whose bits follow its thread count; zero raises MetricError."""
+    norm = math.sqrt(np.sum(np.square(u, dtype=np.float64)))
+    if norm == 0.0:
+        raise MetricError("relative L2 undefined for an all-zero reference field")
+    return norm
+
+
 def relative_l2(u: np.ndarray, u_hat: np.ndarray) -> float:
-    """||u - u_hat|| / ||u|| over the flattened field."""
+    """||u - u_hat|| / ||u|| over the flattened field, both norms summed as ``_reference_norm`` sums."""
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     u_hat = np.asarray(u_hat, dtype=np.float64).reshape(-1)
     if u.shape != u_hat.shape:
         raise ConfigError(f"field shapes differ: {u.shape} vs {u_hat.shape}")
-    denom = np.linalg.norm(u)
-    if denom == 0.0:
-        raise MetricError("relative L2 undefined for an all-zero reference field")
-    return float(np.linalg.norm(u - u_hat) / denom)
+    return float(math.sqrt(np.sum(np.square(u - u_hat))) / _reference_norm(u))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -63,12 +68,9 @@ def spearman(c: np.ndarray, c_hat: np.ndarray) -> float:
 def relative_l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Differentiable relative L2; the reference norm is a constant."""
     target = np.asarray(target)
-    denom = float(np.linalg.norm(target.astype(np.float64)))
-    if denom == 0.0:
-        raise MetricError("relative L2 undefined for an all-zero reference field")
     diff = pred - Tensor(target)
     sq = engine.sum_(diff * diff)
-    return engine.sqrt(sq) * (1.0 / denom)
+    return engine.sqrt(sq) * (1.0 / _reference_norm(target))
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +130,8 @@ def clip_grad_norm(grads: np.ndarray, ends, max_norm: float) -> float:
     return norm
 
 
-# the kind and low bound of each value train() takes from a config's "training" object; none has a high one
+# (kind, low) of each value train() takes from a config's "training" object; none has a high bound
 TRAINING_BOUNDS = {"steps": (int, 1), **dict.fromkeys(("lr", "weight_decay", "clip_norm"), (float, 0.0))}
-
-
-def check_training_values(**values) -> None:
-    """Refuse an unknown training key, or a value of the wrong kind or outside its ``TRAINING_BOUNDS``."""
-    for key, value in values.items():
-        if key not in TRAINING_BOUNDS:
-            raise ConfigError(f"unknown training field {key!r:.40}; choose from {sorted(TRAINING_BOUNDS)}")
-        check_value(f"training {key}", value, *TRAINING_BOUNDS[key], error=ConfigError)
 
 
 def cosine_lr(step: int, total_steps: int, lr: float) -> float:
@@ -199,7 +193,8 @@ def train(
     """
     if not samples:
         raise ConfigError("training requires a non-empty dataset")
-    check_training_values(steps=steps, lr=lr, weight_decay=weight_decay, clip_norm=clip_norm)
+    values = {"steps": steps, "lr": lr, "weight_decay": weight_decay, "clip_norm": clip_norm}
+    check_values(values, TRAINING_BOUNDS, "training ", ConfigError)
     model = PgotModel(config)
     check_dims(config, samples)
     opt = AdamW(model.parameters(), weight_decay=weight_decay)

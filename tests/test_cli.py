@@ -418,6 +418,17 @@ class TestTrainEval:
         assert "stepz" in err
         assert not (tmp_path / "r").exists()
 
+    def test_unknown_top_level_key_exit_2(self, tmp_path, capsys):
+        data = run_gen(tmp_path)
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"model": DESK_CONFIG["model"], "trainig": {"steps": 3}}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "trainig" in err
+        assert not (tmp_path / "r").exists()
+
     def test_report_stable_under_seed(self, tmp_path, config_path):
         data = run_gen(tmp_path)
         reports = []
@@ -450,9 +461,10 @@ class TestBench:
         config = ModelConfig.from_dict(DESK_CONFIG["model"])
         sizes = [64, 128]
         records = bench.run_bench(config, sizes, repeats=1)
-        model, rng = PgotModel(config), engine.Rng(1234)  # the fixed seed run_bench draws its clouds from
+        model = PgotModel(config)
         for n, record in zip(sizes, records):
-            a, coords = bench._random_cloud(rng, n, config.d, config.d_a)
+            # run_bench draws each size's cloud from a fresh Rng at its fixed seed
+            a, coords = bench._random_cloud(engine.Rng(1234), n, config.d, config.d_a)
             model.predict(a, coords)  # warm, as run_bench's traced pass is
             tensor_bytes["total"] = 0
             peak = bench._traced_peak_bytes(lambda: model.predict(a, coords))

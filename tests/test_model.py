@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -8,6 +9,7 @@ from pgot import engine
 from pgot.engine import Rng, Tape, Tensor
 from pgot.errors import ConfigError, NumericalError
 from pgot.model import (
+    FIELD_BOUNDS,
     ModelConfig,
     PgotModel,
     load_checkpoint,
@@ -47,6 +49,10 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"widht": 32})
+
+    def test_bounds_name_every_field_but_gate_force(self):
+        # gate_force, a string or None, is checked against GATE_FORCE_MODES instead
+        assert set(FIELD_BOUNDS) == {f.name for f in dataclasses.fields(ModelConfig)} - {"gate_force"}
 
     def test_hash_stable(self):
         assert ModelConfig().hash() == ModelConfig().hash()

@@ -1,6 +1,10 @@
 import contextlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from pgot.training import (
     spearman,
     train,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def naive_relative_l2(u, u_hat):
@@ -65,6 +71,24 @@ class TestRelativeL2:
         pred = Tensor(rng.uniform(-1, 1, (10, 2)))
         loss = relative_l2_loss(pred, u)
         assert abs(loss.item() - relative_l2(u, pred.data)) < 1e-5
+
+    def test_norms_keep_their_bits_at_every_blas_thread_count(self):
+        """The metric and the loss's reference norm sum in numpy, not by the BLAS dot product, whose last
+        bits change with its thread count on a long vector: at 600,000 elements, 1 and 2 threads differ."""
+        script = (
+            "from pgot import engine; from pgot.engine import Rng, Tensor; "
+            "from pgot.training import relative_l2, relative_l2_loss; "
+            "rng = Rng(0); u = rng.uniform(-1, 1, (200000, 3)); u_hat = u + rng.uniform(-0.1, 0.1, u.shape)\n"
+            "with engine.float64_mode(): print(repr(relative_l2(u, u_hat)), relative_l2_loss(Tensor(u_hat), u).item())"
+        )
+        path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestSpearman:
