@@ -8,6 +8,8 @@ closed-form radial field.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
@@ -37,7 +39,11 @@ class Sample:
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> "Sample":
+        """Refuse, with ``DataError``, a field that is not 2-D with one row per point of ``coords``, holds NaN
+        or Inf, or fewer than 4 points."""
         for name, arr in (("coords", self.coords), ("input", self.input), ("target", self.target)):
+            if arr.ndim != 2 or arr.shape[0] != self.coords.shape[0]:
+                raise DataError(f"sample field {name} must be 2-D with one row per point, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"sample field {name} contains NaN/Inf")
         check_value("sample point count", self.coords.shape[0], int, 4)
@@ -83,27 +89,73 @@ class NormStats:
 def compute_stats(samples: list[Sample]) -> NormStats:
     """Per-channel mean and standard deviation over every point of ``samples``.
 
-    Each field is concatenated into one float64 array, its mean taken, and
-    the deviations squared in place, so the call holds one float64 copy of
-    one field at a time. These are the reductions ``ndarray.mean`` and
-    ``ndarray.std`` run, on arrays of the same shapes, so the statistics keep
-    their bits; summing per sample instead would not (numpy adds a
-    1-channel column pairwise). A zero standard deviation becomes 1.0.
-    Samples whose channel counts disagree raise ``DataError``.
+    The statistics are the bits of concatenating each field in float64 and
+    calling ``ndarray.mean`` and ``ndarray.std`` on it, yet the call holds no
+    more than ``_STATS_WINDOW`` float64 rows of one field at a time (768 KiB
+    for 3 channels), however many samples there are. It reproduces numpy
+    2.4's order of addition, from 0.0: a field of several channels adds its
+    rows in order, so each window's reduction starts from a row holding the
+    running sums; a 1-channel field is numpy's pairwise sum, so ranges are
+    halved at numpy's split, ``n // 2`` rounded down to a multiple of 8,
+    until one fits the window, and numpy sums that range itself. Per-sample
+    sums would miss by an ulp. A zero standard deviation becomes 1.0. No
+    samples, or samples whose channel counts disagree, raise ``DataError``.
     """
+    if not samples:
+        raise DataError("normalization statistics need at least one sample")
     channels = {(s.input.shape[1], s.target.shape[1]) for s in samples}
     if len(channels) > 1:
         raise DataError(f"samples disagree on channel counts (input, target): {sorted(channels)}")
     return NormStats(*_field_stats([s.input for s in samples]), *_field_stats([s.target for s in samples]))
 
 
+# float64 rows of one field that compute_stats holds at a time; at least numpy's pairwise block of 128 rows,
+# which numpy sums without splitting
+_STATS_WINDOW = 2**15
+
+
 def _field_stats(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.concatenate(arrays, axis=0, dtype=np.float64)
-    mean = x.mean(axis=0)
-    x -= mean
-    x *= x
-    std = np.sqrt(x.mean(axis=0))
+    starts = list(itertools.accumulate(map(len, arrays), initial=0))
+    count, width = starts[-1], arrays[0].shape[1]
+    buf = np.empty((min(count, _STATS_WINDOW) + 1, width))  # buf[0] carries running sums, buf[1:] a window
+
+    def window(lo: int, hi: int, mean) -> np.ndarray:
+        """Rows [lo, hi) of the concatenated field in float64, in ``buf[1:]``, or their squared deviations
+        from ``mean`` when it is given."""
+        block = buf[1 : 1 + hi - lo]
+        i, at = bisect.bisect_right(starts, lo) - 1, lo
+        while at < hi:
+            part = arrays[i][at - starts[i] : hi - starts[i]]
+            block[at - lo : at - lo + len(part)] = part
+            at, i = at + len(part), i + 1
+        if mean is not None:
+            block -= mean
+            block *= block
+        return block
+
+    def sums(mean) -> np.ndarray:
+        if width == 1:
+            return 0.0 + _pairwise_sum(window, mean, 0, count)
+        buf[0] = 0.0
+        for lo in range(0, count, _STATS_WINDOW):
+            hi = min(lo + _STATS_WINDOW, count)
+            window(lo, hi, mean)
+            buf[0] = np.add.reduce(buf[: 1 + hi - lo], axis=0)
+        return buf[0].copy()
+
+    mean = sums(None) / count
+    std = np.sqrt(sums(mean) / count)
     return mean, np.where(std > 0, std, 1.0)
+
+
+def _pairwise_sum(window, mean, lo: int, hi: int) -> np.ndarray:
+    """numpy's pairwise sum of rows [lo, hi) of ``window``: halved at numpy's split until a range fits one
+    window, which numpy sums itself (-0.0 + s is s)."""
+    n = hi - lo
+    if n > _STATS_WINDOW:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(window, mean, lo, lo + half) + _pairwise_sum(window, mean, lo + half, hi)
+    return np.add.reduce(window(lo, hi, mean), axis=0, initial=-0.0)
 
 
 def normalize(arr: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -295,9 +347,17 @@ def write_dataset(samples: list[Sample], out_dir, task: str, stats: NormStats | 
 
     With no ``stats`` this is a train split, which computes its own
     normalization statistics; given the train split's ``stats``, a test split.
-    A sample whose channel counts differ from the statistics, or in a train
-    split from another sample's, is refused before anything is created.
+    No samples, a sample that fails ``Sample.validate``, or one whose channel
+    counts differ from the statistics, or in a train split from another
+    sample's, is refused with ``DataError`` before anything is created.
     """
+    if not samples:
+        raise DataError("a split needs at least one sample")
+    for i, sample in enumerate(samples):
+        try:
+            sample.validate()
+        except DataError as exc:
+            raise DataError(f"sample {i}: {exc}") from None
     out_dir = Path(out_dir)
     split = "train" if stats is None else "test"
     if stats is None:

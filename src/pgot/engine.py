@@ -715,16 +715,20 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
-    """``a.max(axis, keepdims=True)`` as one ``np.maximum`` per slice along ``axis``.
+    """``a.max(axis, keepdims=True)``, as one ``np.maximum`` per slice along ``axis`` when slices are long.
 
     numpy's reduction over a short axis runs one inner loop per row; K - 1
-    maximums over whole slices run K - 1 long loops instead. A maximum is
-    exact in any order and NaN wins either way, so the bits are the same,
-    except that a maximum of +0 and -0 may take either sign, which ``x - m``
-    and ``exp`` do not see.
+    maximums over whole slices run K - 1 long loops instead. That pays once
+    a slice holds more than 16 K elements (measured for K from 4 to 32);
+    below that, as in the latent MHSA's (heads, M, M) scores, the reduction
+    is faster and is kept. A maximum is exact in any order and NaN wins
+    either way, so the bits are the same, except that a maximum of +0 and
+    -0 may take either sign, which ``x - m`` and ``exp`` do not see.
     """
-    lead = (slice(None),) * (axis % a.ndim)
     k = a.shape[axis]
+    if a.size <= 16 * k * k:
+        return a.max(axis, keepdims=True)
+    lead = (slice(None),) * (axis % a.ndim)
     top = a[(*lead, slice(0, 1))]
     if k > 1:
         top = np.maximum(top, a[(*lead, slice(1, 2))])

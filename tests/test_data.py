@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 import tracemalloc
@@ -148,6 +149,15 @@ class TestFormat:
             meta={"task": "test", "seed": seed},
         )
 
+    @pytest.mark.parametrize(
+        "name, shape", [("input", (31, 1)), ("target", (33, 1)), ("input", (32,)), ("target", (32, 1, 1)), ("coords", (32,))]
+    )
+    def test_validate_refuses_a_field_not_2d_with_one_row_per_point(self, name, shape):
+        sample = self.make_sample()
+        setattr(sample, name, np.zeros(shape, np.float32))
+        with pytest.raises(DataError, match=f"sample field {name} must be 2-D"):
+            sample.validate()
+
     def test_round_trip_bit_exact(self, tmp_path):
         sample = self.make_sample()
         path = tmp_path / "s.pgds"
@@ -272,6 +282,17 @@ class TestDatasetDir:
             write_dataset(samples, tmp_path / "ds", task="poisson2d")
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_no_samples_or_a_malformed_sample_is_refused_before_anything_is_created(self, tmp_path, split):
+        good = gen_poisson2d(0, 8, 2)
+        stats = compute_stats(good) if split == "test" else None
+        short = gen_poisson2d(1, 8, 1)[0]
+        short.target = short.target[:-1]  # one row fewer than its coords
+        for samples, message in (([], "at least one sample"), ([*good, short], "sample 2: sample field target")):
+            with pytest.raises(DataError, match=message):
+                write_dataset(samples, tmp_path / "ds", task="poisson2d", stats=stats)
+            assert not (tmp_path / "ds").exists()
+
     def test_read_manifest_returns_its_stats(self, tmp_path):
         write_dataset(gen_pointcloud_stress(5, 64, 2), tmp_path / "ds", task="pointcloud_stress")
         manifest, stats = read_manifest(tmp_path / "ds" / "manifest.json")
@@ -330,34 +351,69 @@ def _bits(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
 
 
+def _concatenate_then_std(samples: list[Sample]) -> list[np.ndarray]:
+    """The formula compute_stats replaced: each field concatenated in float64, then ndarray.mean and ndarray.std."""
+    expected = []
+    for name in ("input", "target"):
+        arr = np.concatenate([getattr(s, name) for s in samples], axis=0).astype(np.float64)
+        std = arr.std(axis=0)
+        expected += [arr.mean(axis=0), np.where(std > 0, std, 1.0)]
+    return expected
+
+
+def _assert_bits_match(stats: NormStats, expected: list[np.ndarray]) -> None:
+    got = [stats.input_mean, stats.input_std, stats.target_mean, stats.target_std]
+    for g, e in zip(got, expected, strict=True):
+        assert g.shape == e.shape and np.array_equal(_bits(g), _bits(e))
+
+
 class TestComputeStats:
     @pytest.mark.parametrize("d_a, d_u", [(1, 3), (2, 1), (3, 2)])
     def test_bits_match_concatenate_then_std(self, d_a, d_u):
         for first in range(3):
             samples = _ragged_samples(d_a, d_u, first)
-            # the formula compute_stats replaced: both fields concatenated, then ndarray.mean and ndarray.std
-            expected = []
-            for name in ("input", "target"):
-                arr = np.concatenate([getattr(s, name) for s in samples], axis=0).astype(np.float64)
-                std = arr.std(axis=0)
-                expected += [arr.mean(axis=0), np.where(std > 0, std, 1.0)]
             stats = compute_stats(samples)
-            got = [stats.input_mean, stats.input_std, stats.target_mean, stats.target_std]
-            for g, e in zip(got, expected):
-                assert g.shape == e.shape and np.array_equal(_bits(g), _bits(e))
+            _assert_bits_match(stats, _concatenate_then_std(samples))
             assert 1.0 in stats.input_std or 1.0 in stats.target_std
 
-    def test_traced_peak_is_one_float64_field(self):
-        rng = np.random.default_rng(5)
+    @pytest.mark.parametrize("window", [128, 1000, data._STATS_WINDOW])
+    def test_windowed_sums_keep_the_bits_of_concatenate_then_std(self, window, monkeypatch):
+        """Totals on both sides of numpy's pairwise block (8 and 128 rows) and of 2^k, cut into samples that
+        windows cut in two, some empty, with offset, constant and -0.0 columns."""
+        monkeypatch.setattr(data, "_STATS_WINDOW", window)
+        rng = np.random.default_rng(window)
+        kinds = ("offset", "constant", "negative-zero")
+        totals = [*range(1, 8), *range(8, 129, 24), 128, 129, *(2**k + e for k in range(7, 18) for e in (-1, 0, 1))]
+        for case, total in enumerate(totals):
+            for d_a in (1, 2, 3):
+                sizes = np.diff([0, *sorted(rng.integers(0, total + 1, 3)), total])
+                columns = [_column(kinds[(case + j) % 3], rng, total) for j in range(d_a + 1)]
+                field = np.stack(columns, axis=1).astype(np.float32)
+                samples = [
+                    Sample(np.zeros((hi - lo, 2), np.float32), field[lo:hi, 1:], field[lo:hi, :1])
+                    for lo, hi in itertools.pairwise(np.cumsum([0, *sizes]))
+                ]
+                _assert_bits_match(compute_stats(samples), _concatenate_then_std(samples))
+
+    def test_a_million_rows_keep_the_bits_of_concatenate_then_std(self):
+        rng = np.random.default_rng(6)
         samples = [
-            Sample(np.zeros((1024, 2), np.float32), *(rng.normal(size=(1024, c)).astype(np.float32) for c in (3, 2)))
-            for _ in range(32)
+            Sample(np.zeros((n, 2), np.float32), *(rng.normal(3.0, 2.0, (n, c)).astype(np.float32) for c in (2, 1)))
+            for n in rng.integers(2048, 8192, 200)
         ]
-        rows, widest = 32 * 1024, 3
+        assert sum(len(s.coords) for s in samples) > 10**6
+        _assert_bits_match(compute_stats(samples), _concatenate_then_std(samples))
+
+    @pytest.mark.parametrize("count", [64, 256])
+    def test_traced_peak_is_a_fixed_window(self, count):
+        """However many samples a split has, its statistics hold a fixed float64 window of each field:
+        concatenating 64 samples of 8192 points and 3 channels alone would take 12.6 MB."""
+        field = np.random.default_rng(5).normal(size=(8192, 3)).astype(np.float32)
+        samples = [Sample(np.zeros((8192, 2), np.float32), field, field[:, :1]) for _ in range(count)]
         tracemalloc.start()
         try:
             compute_stats(samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * rows * widest * 8 + 64 * 1024
+        assert peak <= 2 * 2**20

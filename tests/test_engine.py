@@ -202,16 +202,25 @@ class TestSoftmax:
         )
 
     @staticmethod
-    def reduced(x, axis):
-        """Softmax with its maximum taken by numpy's reduction: the bits the per-slice maximum must give."""
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-        return e / engine._accum_sum(e, axis=axis, keepdims=True)
+    def outputs_and_gradient(x, axis):
+        """Softmax's output and the gradient of ``sum(softmax(x) * w)`` for a fixed normal ``w``, as bytes."""
+        t = Tensor(x, requires_grad=True)
+        w = np.random.default_rng(16).normal(0.0, 1.0, x.shape).astype(np.float32)
+        with np.errstate(all="ignore"), Tape() as tape:
+            out = engine.softmax(t, axis=axis)
+            tape.backward(engine.sum_(engine.mul(out, Tensor(w))))
+        return out.data.tobytes(), t.grad.tobytes()
 
     @pytest.mark.parametrize(
         "shape, axis",
-        [((6, 8), -1), ((6, 8), 1), ((6, 8), 0), ((5, 1), -1), ((1, 5), 0), ((3, 2048, 8), -1), ((3, 2048, 8), 1)],
+        [
+            ((6, 8), -1), ((6, 8), 1), ((6, 8), 0), ((5, 1), -1), ((1, 5), 0), ((3, 2048, 8), -1), ((3, 2048, 8), 1),
+            ((2, 8, 8), -1), ((256, 8), -1), ((8192, 8), -1), ((8192, 1), 1),
+        ],
     )
-    def test_per_slice_maximum_keeps_the_bits_of_the_reduction(self, shape, axis):
+    def test_per_slice_maximum_keeps_the_bits_of_the_reduction(self, shape, axis, monkeypatch):
+        """Outputs and gradients are those of numpy's maximum reduction, on either side of the switch to one
+        maximum per slice: the latent MHSA's (2, 8, 8) scores reduce, assignments of 256 rows and more loop."""
         k = shape[axis]
         last = np.random.default_rng(15).normal(0.0, 3.0, np.moveaxis(np.empty(shape), axis, -1).shape)
         rows = last.reshape(-1, k)  # a view: writes land in last
@@ -227,10 +236,9 @@ class TestSoftmax:
         else:
             rows[0], rows[1], rows[2] = 0.0, -0.0, np.nan
         x = np.ascontiguousarray(np.moveaxis(last, -1, axis), dtype=np.float32)
-        with np.errstate(all="ignore"):
-            got = engine.softmax(Tensor(x), axis=axis).data
-            want = self.reduced(x, axis)
-        assert got.tobytes() == want.tobytes()
+        got = self.outputs_and_gradient(x, axis)
+        monkeypatch.setattr(engine, "_max_keepdims", lambda a, axis: a.max(axis, keepdims=True))
+        assert got == self.outputs_and_gradient(x, axis)
 
 
 class TestLayerNorm:

@@ -13,6 +13,11 @@ Each output is computed in float32 mode (``f32/`` names) and inside
   ``dataset.pointcloud_stress``: the same as ``dataset.train`` for
   ``gen_pointcloud_stress(3, 64, 3)``, whose 2-channel input has its statistics summed
   row by row, not pairwise;
+* ``stats.*``: the ``compute_stats`` arrays, mean then std, of the 2-channel input
+  (``stats.pointcloud_stress.P2048x96.input``) and the 1-channel target (``.target``) of
+  ``gen_pointcloud_stress(3, 2048, 96)``, and all four of ``gen_poisson2d(7, 64, 16)``
+  (``stats.poisson2d.R64x16``): fields of several ``data._STATS_WINDOW``-row windows, whose
+  sums run row by row and pairwise;
 * ``init.seed5``: every parameter of a seed-5 default model;
 * ``bench.random_cloud.N<n>``: ``bench._random_cloud`` from bench's fixed seed;
 * ``geometry.pos_embed.<mesh>.F<f>``: the position features ``predict`` reads,
@@ -164,6 +169,10 @@ def hashes(sizes: list[int], workdir: Path):
     yield "dataset.test", dataset(gen_poisson2d(99, 16, 2), workdir / "test", "poisson2d", compute_stats(poisson))
     yield "dataset.read", read_back(workdir / "dataset")
     yield "dataset.pointcloud_stress", dataset(gen_pointcloud_stress(3, 64, 3), workdir / "cloud", "pointcloud_stress")
+    cloud_stats = compute_stats(gen_pointcloud_stress(3, 2048, 96))
+    yield "stats.pointcloud_stress.P2048x96.input", digest(cloud_stats.input_mean, cloud_stats.input_std)
+    yield "stats.pointcloud_stress.P2048x96.target", digest(cloud_stats.target_mean, cloud_stats.target_std)
+    yield "stats.poisson2d.R64x16", digest(*vars(compute_stats(gen_poisson2d(7, 64, 16))).values())
     yield "init.seed5", digest(*(p.data for _, p in PgotModel(ModelConfig(seed=5)).parameters()))
     meshes = {"grid16": poisson[0].coords, "grid9": gen_poisson2d(7, 9, 1)[0].coords}
     for n in sizes:
