@@ -12,7 +12,7 @@ import pytest
 import pgot
 from pgot import bench, cli, engine
 from pgot.cli import main
-from pgot.data import NormStats, normalize, read_dataset, read_manifest, read_sample, write_dataset
+from pgot.data import NormStats, normalize, read_dataset, read_manifest, read_sample, write_dataset, write_sample
 from pgot.model import ModelConfig, PgotModel, load_checkpoint, save_checkpoint
 
 DESK_CONFIG = {
@@ -346,6 +346,24 @@ class TestTrainEval:
         code = main(["train", "--config", str(config_path), "--data", str(data), "--out", str(run_dir)])
         assert code == 2
         assert "d_a" in capsys.readouterr().err
+
+    def test_zero_channel_input_exit_3_with_one_line(self, tmp_path, config_path, capsys):
+        """A split written by hand whose samples have no input channel is bad data, not a config mismatch."""
+        data = run_gen(tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["normalization"]["input_mean"] = manifest["normalization"]["input_std"] = []
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        for entry in manifest["samples"]:
+            path = data / entry["file"]
+            sample = read_sample(path)
+            sample.input = sample.input[:, :0]
+            write_sample(sample, path)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "sample field input has no channels" in err
+        assert not (tmp_path / "r").exists()
 
     def test_bad_config_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

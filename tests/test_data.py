@@ -67,6 +67,35 @@ class TestPoissonOracle:
         ) / h**2
         assert np.linalg.norm(lap - a[1:-1, 1:-1]) / np.linalg.norm(a[1:-1, 1:-1]) < 1e-10
 
+    @pytest.mark.parametrize("n", range(8, 65))
+    def test_one_factorization_keeps_the_bits_of_spsolve(self, n):
+        """Every grid solved against one ``splu`` factor has the bits of its own ``spsolve`` call, the solve
+        the generator used before; so has each target ``gen_poisson2d`` writes."""
+        import scipy.sparse.linalg as spla
+
+        lap = data._poisson_operator(n)
+
+        def spsolve(grid):  # the reference: a fresh factorization per grid
+            u = np.zeros((n, n))
+            u[1:-1, 1:-1] = spla.spsolve(lap, grid[1:-1, 1:-1].reshape(-1)).reshape(n - 2, n - 2)
+            return u
+
+        rng = np.random.default_rng(n)
+        grids = [rng.uniform(-1.0, 1.0, (n, n)), np.exp(rng.uniform(-25.0, 25.0, (n, n)))]
+        solve = data._poisson_solver(n)
+        for grid in grids:
+            assert spsolve(grid).tobytes() == solve(grid).tobytes() == solve_poisson(grid).tobytes()
+        for sample in gen_poisson2d(n, n, 2):
+            rng = Rng(sample.meta["seed"])  # the source as the generator draws it, in float64
+            xs = np.linspace(0.0, 1.0, n)
+            gx, gy = np.meshgrid(xs, xs, indexing="ij")
+            source = np.zeros_like(gx)
+            for _ in range(int(rng.integers(1, 6))):
+                p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+                source += float(rng.uniform(-1.0, 1.0, ())) * np.sin(p * np.pi * gx) * np.sin(q * np.pi * gy)
+            assert sample.input.tobytes() == source.astype(np.float32).tobytes()
+            assert sample.target.tobytes() == spsolve(source).astype(np.float32).tobytes()
+
     def test_resolution_bounds(self):
         with pytest.raises(DataError):
             gen_poisson2d(1, 4, 1)
@@ -110,6 +139,25 @@ class TestPointCloud:
                 r_in = s.input[0, 0]
                 assert s.coords.shape == (points, 2)
                 assert np.all(r >= r_in - 1e-6) and np.all(r <= 1.0 + 1e-6)
+
+    def test_chunked_draw_keeps_the_bits_of_one_draw_of_4_points_candidates(self):
+        """The generator draws candidates in chunks until enough fall inside the annulus; each cloud has the
+        bits of one draw of 4 * points candidates, of which it keeps the first inside."""
+        second_chunks = 0
+        for seed, points in itertools.product((0, 1, 2**64, 2**128 - 1), (64, 100, 999, 2048)):
+            for sample in gen_pointcloud_stress(seed, points, 16):
+                rng = Rng(sample.meta["seed"])  # the reference: every candidate in one draw
+                r_in = float(rng.uniform(0.15, 0.35, ()))
+                candidates = rng.uniform(-1.0, 1.0, (4 * points, 2)).astype(np.float64)
+                r = np.hypot(candidates[:, 0], candidates[:, 1])
+                inside = (r >= r_in) & (r <= 1.0)
+                coords, r = candidates[inside][:points], r[inside][:points]
+                inputs = np.stack([np.full_like(r, r_in), np.minimum(r - r_in, 1.0 - r)], axis=1)
+                target = radial_field(r, r_in, 1.0).reshape(-1, 1)
+                for got, want in ((sample.coords, coords), (sample.input, inputs), (sample.target, target)):
+                    assert got.tobytes() == want.astype(np.float32).tobytes()
+                second_chunks += np.count_nonzero(inside[: -(-3 * points // 2)]) < points
+        assert second_chunks > 0
 
     def test_too_few_candidates_inside_raise_data_error(self, monkeypatch):
         class Corner:  # every draw is 1: r_in = 1, and every candidate sits at (1, 1), outside the annulus
@@ -157,6 +205,16 @@ class TestFormat:
         setattr(sample, name, np.zeros(shape, np.float32))
         with pytest.raises(DataError, match=f"sample field {name} must be 2-D"):
             sample.validate()
+
+    @pytest.mark.parametrize("name", ["coords", "input", "target"])
+    def test_validate_refuses_a_field_with_no_channels(self, name, tmp_path):
+        sample = self.make_sample()
+        setattr(sample, name, np.zeros((32, 0), np.float32))
+        with pytest.raises(DataError, match=f"sample field {name} has no channels"):
+            sample.validate()
+        with pytest.raises(DataError, match=f"sample 0: sample field {name} has no channels"):
+            write_dataset([sample], tmp_path / "ds", task="test")
+        assert not (tmp_path / "ds").exists()
 
     def test_round_trip_bit_exact(self, tmp_path):
         sample = self.make_sample()
@@ -403,6 +461,18 @@ class TestComputeStats:
         ]
         assert sum(len(s.coords) for s in samples) > 10**6
         _assert_bits_match(compute_stats(samples), _concatenate_then_std(samples))
+
+    @pytest.mark.parametrize("rows", [1, 2, 128, 2**15 + 1])
+    @pytest.mark.parametrize("width", range(2, 9))
+    def test_einsum_adds_rows_in_the_order_of_the_reduction(self, rows, width):
+        """compute_stats sums a window of several channels, whose first row carries the running sums, with
+        ``np.einsum("ij->j")``: it must have the bits of ``np.add.reduce(axis=0)``, which adds rows in order.
+        Magnitudes spread over e^-25..e^25, with both signs, so any other order of addition shows."""
+        rng = np.random.default_rng(1000 * width + rows)
+        buf = np.empty((2**15 + 2, width))  # a window is a leading slice of a larger buffer, as in compute_stats
+        window = buf[:rows]
+        window[:] = rng.choice([-1.0, 1.0], (rows, width)) * np.exp(rng.uniform(-25.0, 25.0, (rows, width)))
+        assert _bits(np.einsum("ij->j", window)).tolist() == _bits(np.add.reduce(window, axis=0)).tolist()
 
     @pytest.mark.parametrize("count", [64, 256])
     def test_traced_peak_is_a_fixed_window(self, count):

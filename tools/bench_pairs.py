@@ -15,9 +15,16 @@ A run's last output line is its result, and its ``env`` line names the host.
 For each end-to-end metric in the base's ``BENCHMARK.json``, the file holds
 each side's median, quartiles and IQR (numpy's linear percentiles), the ratio
 of the change's median over the base's, the pairs in which the change is
-strictly better, the pair count and the seeds. Every run is kept with its
-``correct``, ``failed`` and ``returncode``. The file goes to the repository
-root as ``BENCH_<first 7 hex digits of the base sha>.json``.
+strictly better, the pair count and the seeds, and two verdicts:
+
+* ``gain_rule_met``: the change is better in at least 9 pairs, and its median
+  is better than the base's by more than the base's IQR;
+* ``within_bound``: the change's median is worse than the base's by no more
+  than the metric's ``bound``, a share of the base's median.
+
+Every run is kept with its ``correct``, ``failed`` and ``returncode``. The
+file goes to the repository root as ``BENCH_<first 7 hex digits of the base
+sha>.json``.
 
 Uncommitted work is benchmarked as a commit object that moves no ref: stage
 it with ``git add -A`` and pass ``--change $(git stash create)``.
@@ -42,6 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
 FIRST_SEED = 11
 PAIRS = 10
+GAIN_WINS = 9  # of PAIRS
 
 
 def _git(*args: str) -> bytes:
@@ -97,8 +105,9 @@ def quartiles(values) -> dict:
     return {"iqr": q3 - q1, "median": median, "q1": q1, "q3": q3}
 
 
-def aggregate(runs: list[dict], better: dict[str, str]) -> dict:
-    """One workload's summary from its runs, each tagged with ``pair``, ``side`` and ``seed``.
+def aggregate(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """One workload's summary from its runs, each tagged with ``pair``, ``side`` and ``seed``, for the
+    metrics of ``end_to_end``, the ``BENCHMARK.json`` entries that give each one's ``better`` and ``bound``.
 
     A metric is compared over the pairs in which both runs report it.
     """
@@ -107,20 +116,25 @@ def aggregate(runs: list[dict], better: dict[str, str]) -> dict:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
     pairs = [by_pair[i] for i in sorted(by_pair)]
     metrics = {}
-    for name, direction in better.items():
+    for declared in end_to_end:
+        name, direction = declared["name"], declared["better"]
         both = [p for p in pairs if all(name in p.get(s, {}).get("metrics", {}) for s in SIDES)]
         if not both:
             continue
         base = [p["base"]["metrics"][name] for p in both]
         change = [p["change"]["metrics"][name] for p in both]
-        wins = sum((c < b) if direction == "lower" else (c > b) for b, c in zip(base, change))
+        sign = 1.0 if direction == "lower" else -1.0  # sign * (change - base) > 0 is worse
+        wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
         summary = {"base": quartiles(base), "change": quartiles(change)}
+        worse_by = sign * (summary["change"]["median"] - summary["base"]["median"])
         metrics[name] = {
             **summary,
             "better": direction,
             "change_wins": wins,
+            "gain_rule_met": wins >= GAIN_WINS and -worse_by > summary["base"]["iqr"],
             "pairs": len(both),
             "ratio_change_over_base": summary["change"]["median"] / summary["base"]["median"],
+            "within_bound": worse_by <= declared["bound"] * abs(summary["base"]["median"]),
         }
     return {
         "first_side": [min(p.values(), key=lambda r: r["position"])["side"] for p in pairs],
@@ -150,7 +164,6 @@ def main(argv=None) -> int:
         for side in SIDES:
             extract(shas[side], checkouts[side])
         declared = json.loads((checkouts["base"] / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in declared["end_to_end"]}
         seconds = declared["run_seconds"]
         hosts, workloads = [], {}
         for workload in (w["name"] for w in declared["workloads"]):
@@ -164,7 +177,7 @@ def main(argv=None) -> int:
                         hosts.append(env)
                     print(f"{workload} pair {pair} {side}: correct={run['correct']} "
                           f"returncode={run['returncode']}", file=sys.stderr)
-            workloads[workload] = aggregate(runs, better)
+            workloads[workload] = aggregate(runs, declared["end_to_end"])
     finally:
         shutil.rmtree(root, ignore_errors=True)
     report = {
