@@ -19,8 +19,8 @@ import numpy as np
 
 from .bench import run_bench, write_bench_csv
 from .data import (
-    GENERATOR_BOUNDS, GENERATORS, MANIFEST_NAME, NormStats, check_values, normalize, read_dataset, read_json_object,
-    read_manifest, read_sample, require_object, sample_keys, write_dataset
+    GENERATOR_BOUNDS, MANIFEST_NAME, TASKS, NormStats, check_values, generate, normalize, read_dataset,
+    read_json_object, read_manifest, read_sample, read_train_stats, require_object, write_dataset
 )
 from .errors import ConfigError, DataError, MetricError, NumericalError
 from .model import ModelConfig, check_dims, load_checkpoint
@@ -68,16 +68,8 @@ def cmd_gen(args) -> int:
         raise ConfigError(f"output directory {out_dir} is not empty")
     stats = None
     if args.train_manifest:
-        train_manifest, stats = read_manifest(args.train_manifest)
-        # each manifest entry stores its sample's key as meta["seed"]; a manifest may hold any JSON value
-        # there, and only an int can be a key
-        metas = [entry.get("meta") or {} for entry in train_manifest["samples"]]
-        keys = {m.get("seed") for m in metas if m.get("task") == args.task and type(m.get("seed")) is int}
-        shared = next((key for key in sample_keys(args.seed, args.samples) if key in keys), None)
-        if shared is not None:
-            raise ConfigError(f"--seed {args.seed} would reuse train sample key {shared} (seed XOR index): try another")
-    size = args.resolution if args.task == "poisson2d" else args.points
-    samples = GENERATORS[args.task](args.seed, size, args.samples)
+        stats = read_train_stats(args.train_manifest, args.task, args.seed, args.samples)
+    samples = generate(args.task, args.seed, getattr(args, TASKS[args.task][0]), args.samples)
     manifest = write_dataset(samples, out_dir, task=args.task, stats=stats)
     n = samples[0].coords.shape[0]
     print(f"wrote {manifest['count']} {args.task} samples ({n} points each) to {out_dir}")
@@ -166,10 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--task", required=True, choices=sorted(GENERATORS))
+    p.add_argument("--task", required=True, choices=sorted(TASKS))
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=16, help="grid side for poisson2d")
-    p.add_argument("--points", type=int, default=256, help="point count for pointcloud_stress")
+    p.add_argument("--resolution", type=int, default=16, help="grid side of a grid task")
+    p.add_argument("--points", type=int, default=256, help="point count of a point-cloud task")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--train-manifest", help="write a test split, normalized with this train manifest's stats")

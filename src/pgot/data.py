@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Rng
-from .errors import BadMagicError, DataError, TruncatedError, VersionError
+from .errors import BadMagicError, ConfigError, DataError, TruncatedError, VersionError
 
 SAMPLE_MAGIC = b"PGDS"
 SAMPLE_VERSION = 1
@@ -229,19 +229,6 @@ def sample_keys(seed: int, samples: int) -> list[int]:
     return [seed ^ i for i in range(samples)]
 
 
-def _generate(task: str, make_draw, seed: int, size_name: str, size: int, samples: int) -> list[Sample]:
-    """``samples`` samples of ``task``, one per key of ``sample_keys``. Once the arguments are checked,
-    ``make_draw(size)`` does the work the samples share and returns ``draw``; ``draw(Rng(key))`` returns one
-    sample's (coords, input, target) arrays."""
-    check_values({"seed": seed, size_name: size, "samples": samples}, GENERATOR_BOUNDS)
-    draw = make_draw(size)
-    out = []
-    for key in sample_keys(seed, samples):
-        coords, inputs, target = (arr.astype(np.float32) for arr in draw(Rng(key)))
-        out.append(Sample(coords, inputs, target, meta={"task": task, "seed": key, size_name: size}).validate())
-    return out
-
-
 def _poisson2d(resolution: int):
     """The draw of one poisson2d sample: a random sum of sine modes as the source, solved on the grid. The
     grid and the Laplacian's factorization are made once, for every sample drawn."""
@@ -263,7 +250,7 @@ def _poisson2d(resolution: int):
 
 def gen_poisson2d(seed: int, resolution: int, samples: int) -> list[Sample]:
     """Smooth random sources on a structured grid; targets from the direct solve, one factorization per call."""
-    return _generate("poisson2d", _poisson2d, seed, "resolution", resolution, samples)
+    return generate("poisson2d", seed, resolution, samples)
 
 
 def radial_field(r: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
@@ -307,13 +294,28 @@ def _pointcloud_stress(points: int):
 
 def gen_pointcloud_stress(seed: int, points: int, samples: int) -> list[Sample]:
     """Scattered points in an annulus; closed-form logarithmic radial target."""
-    return _generate("pointcloud_stress", _pointcloud_stress, seed, "points", points, samples)
+    return generate("pointcloud_stress", seed, points, samples)
 
 
-GENERATORS = {
-    "poisson2d": gen_poisson2d,
-    "pointcloud_stress": gen_pointcloud_stress,
+# task -> (its size argument's name, which is also its `pgot gen` flag; its draw factory)
+TASKS = {
+    "poisson2d": ("resolution", _poisson2d),
+    "pointcloud_stress": ("points", _pointcloud_stress),
 }
+
+
+def generate(task: str, seed: int, size: int, samples: int) -> list[Sample]:
+    """``samples`` samples of ``task``, one per key of ``sample_keys``, unchecked until ``write_dataset``. Once
+    the arguments are checked, the task's ``make_draw(size)`` does the work the samples share and returns
+    ``draw``; ``draw(Rng(key))`` returns one sample's (coords, input, target) arrays."""
+    size_name, make_draw = TASKS[task]
+    check_values({"seed": seed, size_name: size, "samples": samples}, GENERATOR_BOUNDS)
+    draw = make_draw(size)
+    out = []
+    for key in sample_keys(seed, samples):
+        coords, inputs, target = (arr.astype(np.float32) for arr in draw(Rng(key)))
+        out.append(Sample(coords, inputs, target, meta={"task": task, "seed": key, size_name: size}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +490,25 @@ def read_manifest(path) -> tuple[dict, NormStats]:
             raise DataError(f"manifest samples[{index}] file must be a plain file name, got {name!r:.40}")
         require_object(entry.get("meta") or {}, f"manifest samples[{index}] meta")
     return manifest, NormStats.from_dict(manifest.get("normalization"))
+
+
+def read_train_stats(path, task: str, seed: int, samples: int) -> NormStats:
+    """The stats of the train manifest at ``path`` for a test split of ``task`` drawn from ``seed``, checked before
+    any sample is drawn. ``read_manifest`` refuses a missing or damaged manifest; ``ConfigError`` refuses one
+    that is not a train split of ``task`` (at any size), or whose samples' meta hold one of the test split's
+    ``sample_keys`` as an int "seed": that test split would not be held out."""
+    manifest, stats = read_manifest(path)
+    split, found = manifest.get("split"), manifest.get("task")
+    if split != "train" or found != task:
+        what = f"a {split!r:.40} split of {found!r:.40}"
+        raise ConfigError(f"--train-manifest {path} is {what}, not a 'train' split of {task!r}")
+    # a manifest may hold any JSON value as a sample's seed, and only an int can be a key
+    metas = [entry.get("meta") or {} for entry in manifest["samples"]]
+    keys = {m.get("seed") for m in metas if type(m.get("seed")) is int}
+    shared = next((key for key in sample_keys(seed, samples) if key in keys), None)
+    if shared is not None:
+        raise ConfigError(f"--seed {seed} would reuse train sample key {shared} (seed XOR index): try another")
+    return stats
 
 
 def read_dataset(path) -> tuple[list[Sample], dict]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pgot
-from pgot import bench, cli, engine
+from pgot import bench, cli, data, engine
 from pgot.cli import main
 from pgot.data import NormStats, normalize, read_dataset, read_manifest, read_sample, write_dataset, write_sample
 from pgot.model import ModelConfig, PgotModel, load_checkpoint, save_checkpoint
@@ -82,9 +82,13 @@ class TestGen:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_test_split_with_other_channel_counts_exit_3(self, tmp_path, capsys):
+        """A train split of the task whose stats hold two input channels: every poisson2d sample has one."""
         train = run_gen(tmp_path)
+        manifest = json.loads((train / "manifest.json").read_text())
+        manifest["normalization"].update(input_mean=[0.0, 0.0], input_std=[1.0, 1.0])
+        (train / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "test"
-        argv = ["gen", "--task", "pointcloud_stress", "--samples", "1",
+        argv = ["gen", "--task", "poisson2d", "--samples", "1", "--seed", "99",
                 "--train-manifest", str(train / "manifest.json"), "--out", str(out)]
         capsys.readouterr()
         assert main(argv) == 3
@@ -92,16 +96,41 @@ class TestGen:
         assert err.startswith("data error: ") and err.count("\n") == 1 and "channel counts" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("manifest, code", [("missing.json", 3)], ids=["missing-manifest"])
-    def test_test_split_refused_before_generating(self, tmp_path, monkeypatch, capsys, manifest, code):
+    def test_test_split_as_train_manifest_exit_2(self, tmp_path, capsys):
+        """A test split at another size is written; a test split's manifest is no train manifest, though the
+        keys of its samples (100 ^ i) are not the new split's (1 ^ i, which are train keys)."""
+        train = run_gen(tmp_path, "train", **{"--samples": "4", "--seed": "0", "--resolution": "16"})
+        test = run_gen(tmp_path, "test", **{"--samples": "2", "--seed": "100", "--resolution": "24",
+                                             "--train-manifest": str(train / "manifest.json")})
+        manifest = json.loads((test / "manifest.json").read_text())
+        assert manifest["split"] == "test" and [entry["n"] for entry in manifest["samples"]] == [576, 576]
+        assert manifest["normalization"] == json.loads((train / "manifest.json").read_text())["normalization"]
+        out = tmp_path / "again"
+        argv = ["gen", "--task", "poisson2d", "--samples", "2", "--seed", "1",
+                "--train-manifest", str(test / "manifest.json"), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "'test' split" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, manifest, code, message", [
+        ("poisson2d", "missing.json", 3, "no manifest file"),
+        ("pointcloud_stress", "data/manifest.json", 2, "'poisson2d', not a 'train' split of 'pointcloud_stress'"),
+    ], ids=["missing-manifest", "another-task"])
+    def test_test_split_refused_before_generating(self, tmp_path, monkeypatch, capsys, task, manifest, code, message):
+        run_gen(tmp_path)  # a poisson2d train split
+
         def generate(*args):
             raise AssertionError("samples generated before the split's manifest was checked")
 
-        monkeypatch.setitem(cli.GENERATORS, "poisson2d", generate)
-        argv = ["gen", "--task", "poisson2d", "--samples", "200", "--out", str(tmp_path / "out"),
+        monkeypatch.setattr(cli, "generate", generate)
+        argv = ["gen", "--task", task, "--samples", "200", "--out", str(tmp_path / "out"),
                 "--train-manifest", str(tmp_path / manifest)]
+        capsys.readouterr()
         assert main(argv) == code
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
 
     def test_test_split_sharing_a_train_key_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -111,7 +140,7 @@ class TestGen:
         def generate(*args):
             raise AssertionError("samples generated before the train keys were checked")
 
-        monkeypatch.setitem(cli.GENERATORS, "poisson2d", generate)
+        monkeypatch.setattr(cli, "generate", generate)
         out = tmp_path / "test"
         argv = ["gen", "--task", "poisson2d", "--samples", "8", "--seed", "1",
                 "--train-manifest", str(train / "manifest.json"), "--out", str(out)]
@@ -129,13 +158,32 @@ class TestGen:
         assert json.loads((test / "manifest.json").read_text())["split"] == "test"
 
     def test_train_entries_without_keys_match_nothing(self, tmp_path):
+        """Seed 1 over 3 samples gives keys 1, 0 and 3: a missing meta, a missing seed and a float seed equal to
+        a key are no key."""
         train = run_gen(tmp_path, "train", **{"--seed": "0"})
         manifest = json.loads((train / "manifest.json").read_text())
         del manifest["samples"][0]["meta"]
         del manifest["samples"][1]["meta"]["seed"]
-        manifest["samples"][2]["meta"]["task"] = "pointcloud_stress"
+        manifest["samples"][2]["meta"]["seed"] = 3.0
         (train / "manifest.json").write_text(json.dumps(manifest))
         run_gen(tmp_path, "test", **{"--seed": "1", "--train-manifest": str(train / "manifest.json")})
+
+    def test_a_task_is_one_tasks_row(self, tmp_path, monkeypatch, capsys):
+        """A task registered in ``data.TASKS`` alone is a --task choice, sized by its flag, with no CLI edit."""
+
+        def make_draw(points):
+            def draw(rng):
+                coords = rng.uniform(-1.0, 1.0, (points, 2))
+                return coords, coords[:, :1], coords[:, 1:]
+
+            return draw
+
+        monkeypatch.setitem(data.TASKS, "toy", ("points", make_draw))
+        out = run_gen(tmp_path, "toy", **{"--task": "toy", "--points": "64"})
+        assert "wrote 3 toy samples (64 points each)" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["task"] == "toy" and [entry["n"] for entry in manifest["samples"]] == [64, 64, 64]
+        assert manifest["samples"][1]["meta"] == {"task": "toy", "seed": 6, "points": 64}
 
     def test_help_exits_zero(self, capsys):
         for sub in ("gen", "train", "eval", "bench", "inspect"):
@@ -223,7 +271,7 @@ def test_out_of_the_wrong_kind_exit_2_before_any_work(tmp_path, config_path, mon
     work = []
     for name in ("train", "run_bench", "load_checkpoint"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: work.append(args))
-    monkeypatch.setitem(cli.GENERATORS, "poisson2d", lambda *args: work.append(args))
+    monkeypatch.setattr(cli, "generate", lambda *args: work.append(args))
     argv = {
         "gen": ["--task", "poisson2d", "--samples", "1"],
         "train": ["--config", str(config_path), "--data", str(data)],

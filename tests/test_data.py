@@ -351,6 +351,14 @@ class TestDatasetDir:
                 write_dataset(samples, tmp_path / "ds", task="poisson2d", stats=stats)
             assert not (tmp_path / "ds").exists()
 
+    def test_each_generated_sample_is_validated_once(self, tmp_path, monkeypatch):
+        """``write_dataset`` checks each sample where it enters a file; the generator does not check it before."""
+        validate, calls = Sample.validate, []
+        monkeypatch.setattr(Sample, "validate", lambda self: calls.append(self) or validate(self))
+        samples = gen_pointcloud_stress(4, 64, 3)
+        write_dataset(samples, tmp_path / "ds", task="pointcloud_stress")
+        assert [id(s) for s in calls] == [id(s) for s in samples]
+
     def test_read_manifest_returns_its_stats(self, tmp_path):
         write_dataset(gen_pointcloud_stress(5, 64, 2), tmp_path / "ds", task="pointcloud_stress")
         manifest, stats = read_manifest(tmp_path / "ds" / "manifest.json")
