@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .bench import run_bench, write_bench_csv
-from .data import (
-    GENERATOR_BOUNDS, MANIFEST_NAME, TASKS, NormStats, check_values, generate, normalize, read_dataset,
-    read_json_object, read_manifest, read_sample, read_train_stats, require_object, write_dataset
-)
+from .data import GENERATOR_BOUNDS, MANIFEST_NAME, TASKS, NormStats, generate, normalize, read_dataset, read_manifest
+from .data import read_sample, read_train_stats, write_dataset
 from .errors import ConfigError, DataError, MetricError, NumericalError
+from .formats import check_values, read_json_object, require_object
 from .model import ModelConfig, check_dims, load_checkpoint
 from .training import TRAINING_BOUNDS, evaluate, train
 
@@ -35,6 +34,8 @@ EXIT_NUMERICAL = 4
 # (kind, low[, high]) of each integer flag, and of each --sizes entry; bench also runs dense N x N attention at
 # every size, so sizes stop at twice the largest the README uses
 FLAG_BOUNDS = {**GENERATOR_BOUNDS, "sizes": (int, 1, 16385), "repeats": (int, 1)}
+# `pgot gen`'s size flags' defaults, kept out of the namespace so that cmd_gen sees which size flag was given
+SIZE_DEFAULTS = {"resolution": 16, "points": 256}
 
 
 def _load_config_file(path) -> tuple[ModelConfig, dict]:
@@ -63,13 +64,17 @@ def _check_out(out: str | Path, directory: bool) -> Path:
 
 
 def cmd_gen(args) -> int:
+    size_name = TASKS[args.task][0]
+    other = [name for name in SIZE_DEFAULTS if name != size_name and name in vars(args)]
+    if other:
+        raise ConfigError(f"--task {args.task} takes --{size_name}, not --{other[0]}")
     out_dir = _check_out(args.out, directory=True)
     if out_dir.exists() and any(out_dir.iterdir()):
         raise ConfigError(f"output directory {out_dir} is not empty")
     stats = None
-    if args.train_manifest:
+    if args.train_manifest is not None:
         stats = read_train_stats(args.train_manifest, args.task, args.seed, args.samples)
-    samples = generate(args.task, args.seed, getattr(args, TASKS[args.task][0]), args.samples)
+    samples = generate(args.task, args.seed, vars(args).get(size_name, SIZE_DEFAULTS[size_name]), args.samples)
     manifest = write_dataset(samples, out_dir, task=args.task, stats=stats)
     n = samples[0].coords.shape[0]
     print(f"wrote {manifest['count']} {args.task} samples ({n} points each) to {out_dir}")
@@ -160,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--task", required=True, choices=sorted(TASKS))
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=16, help="grid side of a grid task")
-    p.add_argument("--points", type=int, default=256, help="point count of a point-cloud task")
+    for name, what in (("resolution", "grid side of a grid task"), ("points", "point count of a point-cloud task")):
+        p.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS, help=f"{what} (default {SIZE_DEFAULTS[name]})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--train-manifest", help="write a test split, normalized with this train manifest's stats")

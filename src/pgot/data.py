@@ -1,5 +1,5 @@
-"""Synthetic operator-learning tasks with exact numerical oracles, plus the
-on-disk formats (the binary container of samples and checkpoints, a JSON manifest).
+"""Synthetic operator-learning tasks with exact numerical oracles, the sample
+body of the shared container, and a split's JSON manifest.
 
 The target-producing solvers deliberately share no code with the model:
 the grid task uses a sparse direct Poisson solve, the point-cloud task a
@@ -11,24 +11,22 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-import math
 import os
-import struct
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .engine import Rng
-from .errors import BadMagicError, ConfigError, DataError, TruncatedError, VersionError
+from .errors import ConfigError, DataError
+from .formats import SEED_BOUNDS, check_value, check_values, create_record, open_record, read_f32, read_json_object
+from .formats import read_u32, require_object, write_f32, write_u32
 
 SAMPLE_MAGIC = b"PGDS"
 SAMPLE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-# (kind, low[, high]) of each generator argument, the format of every bounds table: [low, high), no high is
-# unbounded. `pgot gen` reads them for its flags. A seed is a Philox key, 128 bits; a model's shares the bound
-GENERATOR_BOUNDS = dict(seed=(int, 0, 2**128), samples=(int, 1), resolution=(int, 8, 65), points=(int, 64, 2049))
+# each generator argument's bounds; `pgot gen` reads them for its flags
+GENERATOR_BOUNDS = dict(seed=SEED_BOUNDS, samples=(int, 1), resolution=(int, 8, 65), points=(int, 64, 2049))
 
 
 @dataclass
@@ -318,75 +316,19 @@ def generate(task: str, seed: int, size: int, samples: int) -> list[Sample]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# binary container (magic, u32 version, body, no trailing bytes); sample body
-# ---------------------------------------------------------------------------
-
-
-@contextmanager
-def create_record(path, magic: bytes, version: int):
-    """Write magic, version and the caller's body to a temporary file beside
-    ``path``, then rename it over ``path``: a failed write leaves ``path`` as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic)
-            write_u32(fh, version)
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-@contextmanager
-def open_record(path, magic: bytes, version: int):
-    """Check the magic and version, yield the file for the caller to read the
-    body, then refuse trailing bytes."""
-    with open(path, "rb") as fh:
-        found = read_exact(fh, 4, "magic")
-        if found != magic:
-            raise BadMagicError(f"bad magic {found!r}, expected {magic!r}")
-        (found_version,) = read_u32(fh, 1, "version")
-        if found_version != version:
-            raise VersionError(f"unsupported {magic.decode()} version {found_version}")
-        yield fh
-        if fh.read(1):
-            raise DataError(f"unexpected trailing bytes after {magic.decode()} payload")
-
-
-def write_u32(fh, *values: int) -> None:
-    fh.write(struct.pack(f"<{len(values)}I", *values))
-
-
-def read_exact(fh, n: int, what: str) -> bytes:
-    # checked against the bytes left before reading: a corrupt size field can
-    # ask for more than fits in memory or in an index
-    offset = fh.tell()
-    left = os.fstat(fh.fileno()).st_size - offset
-    if n > left:
-        raise TruncatedError(f"truncated payload reading {what} at byte {offset}: expected {n} bytes, got {left}")
-    return fh.read(n)
-
-
-def read_u32(fh, count: int, what: str) -> tuple[int, ...]:
-    return struct.unpack(f"<{count}I", read_exact(fh, 4 * count, what))
-
-
 def write_sample(sample: Sample, path) -> None:
     with create_record(path, SAMPLE_MAGIC, SAMPLE_VERSION) as fh:
         write_u32(fh, *sample.coords.shape, sample.input.shape[1], sample.target.shape[1])
         for arr in (sample.coords, sample.input, sample.target):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            write_f32(fh, arr)
 
 
 def read_sample(path, meta: dict | None = None) -> Sample:
     with open_record(path, SAMPLE_MAGIC, SAMPLE_VERSION) as fh:
         n, d, d_a, d_u = read_u32(fh, 4, "header")
-        coords = np.frombuffer(read_exact(fh, 4 * n * d, "coords"), dtype="<f4").reshape(n, d)
-        inputs = np.frombuffer(read_exact(fh, 4 * n * d_a, "input"), dtype="<f4").reshape(n, d_a)
-        target = np.frombuffer(read_exact(fh, 4 * n * d_u, "target"), dtype="<f4").reshape(n, d_u)
+        coords = read_f32(fh, (n, d), "coords")
+        inputs = read_f32(fh, (n, d_a), "input")
+        target = read_f32(fh, (n, d_u), "target")
     return Sample(coords.copy(), inputs.copy(), target.copy(), meta=dict(meta or {})).validate()
 
 
@@ -429,47 +371,6 @@ def write_dataset(samples: list[Sample], out_dir, task: str, stats: NormStats | 
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return manifest
-
-
-def read_json_object(raw: bytes, what: str, error: type[Exception] = DataError) -> dict:
-    """Parse UTF-8 JSON text that must hold one object; any fault raises ``error``."""
-    try:
-        value = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past Python's 4300-digit limit
-        raise error(f"{what} is not UTF-8 JSON: {exc}") from None
-    except RecursionError:  # json's decoder recurses once per nested array or object
-        raise error(f"{what} is nested too deeply") from None
-    return require_object(value, what, error)
-
-
-def require_object(value, what: str, error: type[Exception] = DataError) -> dict:
-    if not isinstance(value, dict):
-        raise error(f"{what} must be a JSON object, got {value!r:.40}")
-    return value
-
-
-def check_value(name: str, value, kind: type, low=-math.inf, high=math.inf, error: type[Exception] = DataError):
-    """Return ``value`` if it is a ``kind`` (int, float or bool; an int passes for a float, a bool only for a
-    bool) that is finite as a float and lies in [low, high), compared exactly; else raise ``error`` naming it."""
-    inside = isinstance(value, (int, float) if kind is float else kind)
-    inside = inside and (kind is bool or not isinstance(value, bool))
-    got = None
-    try:
-        inside = inside and math.isfinite(value) and low <= value < high
-    except OverflowError:  # an integer beyond the float range; repr refuses one past 4300 digits
-        inside, got = False, f"an integer of {value.bit_length()} bits"
-    if not inside:
-        bounds = "" if kind is bool else f" in [{low}, {high})"
-        raise error(f"{name} must be {kind.__name__}{bounds}, got {got or repr(value)[:40]}")
-    return value
-
-
-def check_values(values: dict, bounds: dict, what: str = "", error: type[Exception] = DataError) -> None:
-    """``check_value(what + name, value, *bounds[name], error=error)`` per item; a name not in ``bounds`` raises."""
-    for name, value in values.items():
-        if name not in bounds:
-            raise error(f"unknown {what}field {name!r:.40}")
-        check_value(what + name, value, *bounds[name], error=error)
 
 
 def read_manifest(path) -> tuple[dict, NormStats]:

@@ -12,23 +12,22 @@ import numpy as np
 from . import engine, geometry
 from .attention import DenseAttention, SpecGeoAttention
 from .engine import Rng, Tensor
-from .data import GENERATOR_BOUNDS, check_values, create_record, open_record, read_exact, read_json_object, read_u32
-from .data import require_object, write_u32
 from .errors import ConfigError, DataError, NumericalError
 from .ffn import GATE_FORCE_MODES, PlainFFN, TaylorDecompFFN
+from .formats import SEED_BOUNDS, check_values, create_record, open_record, read_exact, read_f32, read_json_object
+from .formats import read_u32, require_object, write_f32, write_u32
 from .geometry import normalize_coords
 from .layers import LayerNorm, Mlp2, Module
 
 CHECKPOINT_MAGIC = b"PGCK"
 CHECKPOINT_VERSION = 1
 
-# (kind, low[, high]) of every ModelConfig field but gate_force, which must be in GATE_FORCE_MODES; the seed's
-# is the generators'. The size bounds sit far above the paper's models and refuse what cannot be built:
-# scale s multiplies coordinates by 10^(s-1), and past 24 frequencies 2^k * pi * g is a multiple of pi for
-# float32 coordinates g >= 0.5
+# (kind, low[, high]) of every ModelConfig field but gate_force, which must be in GATE_FORCE_MODES. The size
+# bounds sit far above the paper's models and refuse what cannot be built: scale s multiplies coordinates by
+# 10^(s-1), and past 24 frequencies 2^k * pi * g is a multiple of pi for float32 coordinates g >= 0.5
 FIELD_BOUNDS = dict.fromkeys(("width", "heads", "d_a", "d_u"), (int, 1, 1025))
 FIELD_BOUNDS.update(layers=(int, 1, 33), slices=(int, 2, 1025), scales=(int, 1, 9), d=(int, 1, 17))
-FIELD_BOUNDS.update(pe_frequencies=(int, 1, 25), dropout=(float, 0.0, 1.0), seed=GENERATOR_BOUNDS["seed"])
+FIELD_BOUNDS.update(pe_frequencies=(int, 1, 25), dropout=(float, 0.0, 1.0), seed=SEED_BOUNDS)
 FIELD_BOUNDS.update(dict.fromkeys(("disable_sga", "disable_tdf", "dense_attention"), (bool,)))
 
 
@@ -218,9 +217,8 @@ def save_checkpoint(model: PgotModel, path) -> None:
             name_bytes = name.encode()
             write_u32(fh, len(name_bytes))
             fh.write(name_bytes)
-            arr = np.ascontiguousarray(p.data, dtype="<f4")
-            write_u32(fh, arr.ndim, *arr.shape)
-            fh.write(arr.tobytes())
+            write_u32(fh, p.data.ndim, *p.data.shape)
+            write_f32(fh, p.data)
 
 
 def load_checkpoint(path) -> PgotModel:
@@ -240,7 +238,7 @@ def load_checkpoint(path) -> PgotModel:
             shape = read_u32(fh, rank, "dims")
             if stored != name.encode() or shape != p.data.shape:
                 raise DataError(f"checkpoint tensor {stored!r:.60} {shape} is not the model's {name!r} {p.data.shape}")
-            arr = np.frombuffer(read_exact(fh, 4 * p.size, f"tensor {name}"), dtype="<f4").reshape(shape)
+            arr = read_f32(fh, shape, f"tensor {name}")
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"checkpoint tensor {name!r} contains NaN/Inf")
             p.data[...] = arr

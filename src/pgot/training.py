@@ -11,9 +11,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import engine
-from .data import NormStats, Sample, check_values, denormalize, normalize
+from .data import NormStats, Sample, denormalize, normalize
 from .engine import Tape, Tensor
 from .errors import ConfigError, MetricError, NumericalError
+from .formats import check_values
 from .model import ModelConfig, PgotModel, check_dims, save_checkpoint
 
 

@@ -39,15 +39,18 @@ def config_path(tmp_path):
 
 
 def run_gen(tmp_path, name="data", **overrides):
+    """``pgot gen`` with these flags, at --resolution 12 unless --points is given: a task refuses the other
+    task's size flag."""
     out = tmp_path / name
     args = {
         "--task": "poisson2d",
         "--samples": "3",
-        "--resolution": "12",
         "--seed": "7",
         "--out": str(out),
     }
     args.update(overrides)
+    if "--points" not in args:
+        args.setdefault("--resolution", "12")
     argv = ["gen"] + [x for pair in args.items() for x in pair]
     assert main(argv) == 0
     return out
@@ -152,9 +155,9 @@ class TestGen:
 
     @pytest.mark.parametrize("task", ["poisson2d", "pointcloud_stress"])
     def test_readme_test_split_seeds_pass(self, tmp_path, task):
-        train = run_gen(tmp_path, "train", **{"--task": task, "--samples": "4", "--points": "64"})
-        test = run_gen(tmp_path, "test", **{"--task": task, "--samples": "4", "--points": "64", "--seed": "99",
-                                             "--train-manifest": str(train / "manifest.json")})
+        flags = {"--task": task, "--samples": "4"} | ({"--points": "64"} if task == "pointcloud_stress" else {})
+        train = run_gen(tmp_path, "train", **flags)
+        test = run_gen(tmp_path, "test", **flags, **{"--seed": "99", "--train-manifest": str(train / "manifest.json")})
         assert json.loads((test / "manifest.json").read_text())["split"] == "test"
 
     def test_train_entries_without_keys_match_nothing(self, tmp_path):
@@ -184,6 +187,34 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["task"] == "toy" and [entry["n"] for entry in manifest["samples"]] == [64, 64, 64]
         assert manifest["samples"][1]["meta"] == {"task": "toy", "seed": 6, "points": 64}
+
+    def test_empty_train_manifest_exit_3(self, tmp_path, capsys):
+        """An empty --train-manifest names no manifest: it is refused, not taken for a train split."""
+        out = tmp_path / "out"
+        argv = ["gen", "--task", "poisson2d", "--samples", "1", "--resolution", "8", "--train-manifest", "",
+                "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: no manifest file") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, flag, value", [
+        ("pointcloud_stress", "--resolution", "32"),
+        ("poisson2d", "--points", "64"),
+    ])
+    def test_other_tasks_size_flag_exit_2(self, tmp_path, monkeypatch, capsys, task, flag, value):
+        """A size flag the task does not take is refused before the train manifest is read or --out created."""
+
+        def read_train_stats(*args):
+            raise AssertionError("train manifest read before the size flag was checked")
+
+        monkeypatch.setattr(cli, "read_train_stats", read_train_stats)
+        out = tmp_path / "out"
+        argv = ["gen", "--task", task, "--samples", "1", flag, value, "--train-manifest", "m.json", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and f"not {flag}" in err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         for sub in ("gen", "train", "eval", "bench", "inspect"):

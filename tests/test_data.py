@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import struct
@@ -310,6 +311,27 @@ class TestDatasetDir:
             write_dataset(gen_poisson2d(12, 12, 2), tmp_path / name, task="poisson2d")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "task, samples, hashes",
+        [
+            ("poisson2d", lambda: gen_poisson2d(7, 8, 2), ("518d0114584b3c7c", "c1a4e99bb6839818", "38f8d0b7763642a2")),
+            (
+                "pointcloud_stress",
+                lambda: gen_pointcloud_stress(3, 64, 2),
+                ("319c4b0d86b57347", "05f4708cbf623b73", "5c9b5a6efc875fc2"),
+            ),
+        ],
+        ids=["poisson2d", "pointcloud_stress"],
+    )
+    def test_written_split_keeps_its_bytes(self, tmp_path, task, samples, hashes):
+        """The first 16 hex digits of the sha256 of the manifest and of each sample file: any change to a
+        generator, the statistics, the manifest's JSON or the container shows here."""
+        write_dataset(samples(), tmp_path, task=task)
+        names = ("manifest.json", "sample_0000.pgds", "sample_0001.pgds")
+        assert sorted(p.name for p in tmp_path.iterdir()) == list(names)
+        found = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] for name in names)
+        assert found == hashes
 
     @pytest.mark.parametrize(
         "generator, args",
