@@ -378,7 +378,7 @@ def read_manifest(path) -> tuple[dict, NormStats]:
     its readers rely on: a non-empty "samples" list of objects whose "file" is
     a plain name inside the dataset directory, and well-formed "normalization"."""
     if not os.path.isfile(path):
-        raise DataError(f"no manifest file {path}")
+        raise DataError(f"no manifest file {os.fspath(path)!r}")
     with open(path, "rb") as fh:
         manifest = read_json_object(fh.read(), "manifest")
     entries = manifest.get("samples")

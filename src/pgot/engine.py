@@ -35,7 +35,13 @@ and normalized coordinates are float32 in both modes.
   attention's ``A^T x``, a sum over mesh points, and its gradient ``A g``
   with respect to ``x``, a sum over the M slices; ``sum_``/``mean_``,
   softmax normalisers, broadcast-gradient sums and the LayerNorm
-  ``gain``/``bias`` gradients.
+  ``gain``/``bias`` gradients. A float32 sum over every axis but the last,
+  of a C-contiguous array of more than one column, runs as ``np.einsum("ij->j",
+  ..., dtype=float64)``: it adds the rows in numpy's order, in about half the
+  time. All other sums keep ``a.sum``: numpy adds a single column, or one of
+  a non-contiguous array, in another order; einsum's sums along the last axis
+  add a row of 3 or more in another order than numpy's; and float64 arrays,
+  which only ``float64_mode`` makes, stay on numpy's sum.
 
 Every tensor that needs a gradient has one ``_Node``, its pending gradient:
 a parameter from its construction, an op output from its recording. The tape
@@ -44,6 +50,12 @@ return as a view, as a contiguous copy in the dtype the backward computed.
 Closures keep the fewest arrays their backward needs, so an op output that no
 backward reads dies with its last user. A recorded GELU keeps one array, its
 derivative, computed in the forward pass; not its input or ``cdf``.
+``matmul``, ``add`` and ``sub`` compute no gradient for an operand with no
+node (a constant) and return ``None`` for it. ``mul`` and ``div`` compute
+both: the model's constant factors are scalars, and two flags in every such
+closure made Python's cyclic GC run about once per train step, not once in
+five. Ops write their temporaries in place into their own scratch, never
+into an array that they or another op keep.
 
 Importing this module tells glibc's malloc to keep freed memory in the
 process (see ``_keep_freed_memory``): a large pass then reuses the previous
@@ -345,8 +357,10 @@ def _make(out_data, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to the shape it was broadcast from."""
+def _unbroadcast(grad: np.ndarray, shape: Optional[tuple]) -> Optional[np.ndarray]:
+    """Sum a gradient down to the shape it was broadcast from; no shape, a constant operand's, gives None."""
+    if shape is None:
+        return None
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -360,6 +374,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _accum_sum(a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
     # 64-bit accumulation keeps reductions order-insensitive at f32 output
+    c = a.shape[-1] if a.ndim > 1 else 0
+    if a.dtype == np.float32 and c > 1 and a.flags.c_contiguous and axis is not None:
+        axes = sorted(i + a.ndim if i < 0 else i for i in (axis if isinstance(axis, tuple) else (axis,)))
+        if axes == list(range(a.ndim - 1)):  # column sums: see the module docstring
+            s = np.einsum("ij->j", a.reshape(-1, c), dtype=np.float64)
+            return s.reshape((1,) * (a.ndim - 1) + (c,) if keepdims else (c,)).astype(a.dtype)
     return a.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(a.dtype)
 
 
@@ -375,7 +395,9 @@ def _accum_matmul(a: np.ndarray, b: np.ndarray, out_dtype) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
-    a_shape, b_shape = a.data.shape, b.data.shape
+    # a constant operand's shape is None, so its gradient is not computed; a flag would add a closure cell
+    a_shape = a.data.shape if a._node is not None else None
+    b_shape = b.data.shape if b._node is not None else None
 
     def bwd(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
@@ -385,10 +407,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
-    a_shape, b_shape = a.data.shape, b.data.shape
+    a_shape = a.data.shape if a._node is not None else None
+    b_shape = b.data.shape if b._node is not None else None
 
     def bwd(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
+        return _unbroadcast(g, a_shape), None if b_shape is None else _unbroadcast(-g, b_shape)
 
     return _make(data, (a, b), bwd)
 
@@ -408,7 +431,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     data = x / y
 
     def bwd(g):
-        return _unbroadcast(g / y, x.shape), _unbroadcast(-g * x / (y * y), y.shape)
+        gb = np.negative(g)  # -g * x / (y * y), in one buffer
+        gb *= x
+        gb /= y * y
+        return _unbroadcast(g / y, x.shape), _unbroadcast(gb, y.shape)
 
     return _make(data, (a, b), bwd)
 
@@ -419,10 +445,13 @@ def neg(a: Tensor) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e) for x >= 0, else e/(1+e), e = exp(-|x|) <= 1."""
-    e = np.exp(-np.abs(x))
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     # 0 <= e <= 1, so max(e, x >= 0) is 1 where x >= 0 and e elsewhere (NaN stays NaN)
     num = np.maximum(e, x >= 0, dtype=x.dtype)
-    return np.divide(num, 1.0 + e, out=num)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -430,7 +459,9 @@ def sigmoid(a: Tensor) -> Tensor:
     data = _sigmoid(x)
 
     def bwd(g):
-        return (g * data * (1.0 - data),)
+        out = g * data
+        out *= 1.0 - data
+        return (out,)
 
     return _make(data, (a,), bwd)
 
@@ -738,13 +769,16 @@ def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - _max_keepdims(x.data, axis)
-    e = np.exp(z)
-    data = e / _accum_sum(e, axis=axis, keepdims=True)
+    data = x.data - _max_keepdims(x.data, axis)
+    np.exp(data, out=data)
+    data /= _accum_sum(data, axis=axis, keepdims=True)
 
     def bwd(g):
-        inner = _accum_sum(g * data, axis=axis, keepdims=True)
-        return (data * (g - inner),)
+        out = g * data
+        inner = _accum_sum(out, axis=axis, keepdims=True)
+        np.subtract(g, inner, out=out)
+        out *= data
+        return (out,)
 
     return _make(data, (x,), bwd)
 
@@ -757,21 +791,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
     # row statistics reduce over channels only, so they run in the storage dtype
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    data = np.square(xhat)  # scratch until it holds the output
+    var = data.mean(axis=-1, keepdims=True)
     var += 1e-5  # keeps a constant row finite
     inv = np.sqrt(var, out=var)
     np.reciprocal(inv, out=inv)
     xhat *= inv
     w = gain.data
-    data = xhat * w + bias.data
+    np.multiply(xhat, w, out=data)
+    data += bias.data
 
     def bwd(g):
-        dgain = _accum_sum(g * xhat, axis=tuple(range(g.ndim - 1)), keepdims=False)
-        dbias = _accum_sum(g, axis=tuple(range(g.ndim - 1)), keepdims=False)
-        dxhat = g * w
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
-        dx -= xhat * m2
+        rows = tuple(range(g.ndim - 1))
+        scratch = g * xhat
+        dgain = _accum_sum(scratch, axis=rows, keepdims=False)
+        dbias = _accum_sum(g, axis=rows, keepdims=False)
+        dx = g * w  # dxhat
+        m2 = np.multiply(dx, xhat, out=scratch).mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, m2, out=scratch)
         dx *= inv
         return dx, dgain, dbias
 

@@ -198,6 +198,13 @@ class TestGen:
         assert err.startswith("data error: no manifest file") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_refused_manifest_path_is_quoted(self, tmp_path, capsys):
+        """The refusal quotes the path it was given, so an empty one shows as '' and not as a trailing space."""
+        argv = ["gen", "--task", "poisson2d", "--samples", "1", "--resolution", "8", "--train-manifest", "",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "data error: no manifest file ''\n"
+
     @pytest.mark.parametrize("task, flag, value", [
         ("pointcloud_stress", "--resolution", "32"),
         ("poisson2d", "--points", "64"),

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import pgot
@@ -926,3 +928,129 @@ def test_parameter_grads_are_contiguous_writable_in_the_storage_dtype(mode):
         assert p.grad.shape == p.shape
         assert p.grad.flags.c_contiguous and p.grad.flags.writeable
     assert all(np.array_equal(p.grad, np.ones(p.shape)) for p in lone)
+
+
+def _reference_sum(a, axis, keepdims):
+    """``_accum_sum``'s definition: numpy's float64 sum, cast back."""
+    return a.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(a.dtype)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))  # -0 is not +0
+
+
+def _cancelling(gen, shape, dtype=np.float32):
+    """Magnitudes from 1e-20 to 1e20 whose rows cancel in pairs, so a column's float64 sum is its rounding.
+
+    Then any other order of addition shows in the float32 result, not only in float64's low bits.
+    """
+    *lead, n, c = shape
+    half = gen.standard_normal((*lead, n // 2, c)) * 10.0 ** gen.uniform(-20.0, 20.0, (*lead, n // 2, c))
+    odd = gen.standard_normal((*lead, n % 2, c))
+    return np.concatenate([half, -half[..., gen.permutation(n // 2), :], odd], axis=-2).astype(dtype)
+
+
+def _column_axes(ndim):
+    """Every spelling of "every axis but the last" for ``ndim`` axes: int or tuple, positive or negative."""
+    lead = tuple(range(ndim - 1))
+    spellings = [lead, tuple(i - ndim for i in lead), tuple(reversed(lead))]
+    return spellings + ([0, -2] if ndim == 2 else [])
+
+
+class TestColumnSums:
+    """``_accum_sum`` over every axis but the last keeps the bits of numpy's float64 sum.
+
+    float32 column sums take einsum, which adds the rows in numpy's order; everything else keeps ``a.sum``.
+    """
+
+    @pytest.mark.parametrize("n", [37, 256, 1023, 2048, 8192])
+    @pytest.mark.parametrize("c", [1, 8, 16, 32, 34, 64])
+    def test_workload_shapes(self, n, c):
+        gen = np.random.default_rng(n * 100 + c)
+        for a in (_cancelling(gen, (n, c)), _cancelling(gen, (3, n, c)), np.asfortranarray(_cancelling(gen, (n, c)))):
+            for axis in _column_axes(a.ndim):
+                for keepdims in (False, True):
+                    _assert_same_bits(engine._accum_sum(a, axis, keepdims), _reference_sum(a, axis, keepdims))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_drawn_shapes_and_special_values(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(0, 4), max_size=2), label="lead"))
+        shape += (data.draw(st.integers(0, 300), label="n"), data.draw(st.integers(1, 70), label="c"))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sign = np.where(gen.random(shape) < 0.5, -1.0, 1.0)
+        a = sign * 10.0 ** gen.uniform(-30.0, 30.0, shape)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        odd = gen.random(shape) < data.draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]), label="special share")
+        a[odd] = gen.choice(specials, size=int(odd.sum()))
+        if data.draw(st.booleans(), label="rows cancel in pairs"):
+            n = shape[-2]
+            a[..., n // 2: n // 2 * 2, :] = -a[..., gen.permutation(n // 2), :]
+        a = a.astype(np.float32)
+        axis = data.draw(st.sampled_from(_column_axes(a.ndim)), label="axis")
+        keepdims = data.draw(st.booleans(), label="keepdims")
+        with np.errstate(invalid="ignore"):  # inf - inf
+            _assert_same_bits(engine._accum_sum(a, axis, keepdims), _reference_sum(a, axis, keepdims))
+
+    @pytest.mark.parametrize("shape", [(9, 1), (2048, 1), (3, 37, 1), (256, 8), (3, 1023, 34), (8192, 64)])
+    def test_float64_keeps_numpy_sum(self, shape):
+        a = _cancelling(np.random.default_rng(len(shape) + shape[-1]), shape, np.float64)
+        for a in (a, np.asfortranarray(a)):
+            for axis in _column_axes(a.ndim):
+                _assert_same_bits(engine._accum_sum(a, axis, False), _reference_sum(a, axis, False))
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+@pytest.mark.parametrize("constant", ["a", "b"])
+@pytest.mark.parametrize("param_shape, constant_shape", [((5, 4), (4,)), ((4,), (5, 4)), ((5, 4), (5, 4))])
+def test_add_and_sub_compute_no_gradient_for_a_constant(recorded, op, constant, param_shape, constant_shape):
+    """The closure returns None for a constant operand; the parameter's gradient keeps its bits."""
+    gen = np.random.default_rng(11)
+    param = Tensor(gen.uniform(0.5, 1.5, param_shape), requires_grad=True)
+    const = Tensor(gen.uniform(0.5, 1.5, constant_shape))
+    a, b = (const, param) if constant == "a" else (param, const)
+    with Tape():
+        out = getattr(engine, op)(a, b)
+    g = gen.uniform(-1.0, 1.0, out.shape).astype(np.float32)
+    grads = recorded[0][2](g)
+    full = -g if op == "sub" and constant == "a" else g  # the formulas each op used before
+    want = full if full.shape == param_shape else _reference_sum(full, 0, False)
+    assert grads["ab".index(constant)] is None
+    _assert_same_bits(grads["ba".index(constant)], want)
+
+
+def _assert_kept_arrays_intact(config, training):
+    """A fwd+bwd leaves the data of every tensor built in it, op outputs included, byte for byte as built."""
+    gen = np.random.default_rng(12)
+    coords = gen.uniform(0.0, 1.0, (64, 2))
+    field = gen.uniform(-1.0, 1.0, (64, config.d_a))
+    model = PgotModel(config)
+    built = []
+    init = Tensor.__init__
+
+    def snapshot_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self, self.data.tobytes()))
+
+    Tensor.__init__ = snapshot_init
+    try:
+        with Tape() as tape:
+            pred = model.predict(field, coords, training=training)
+            tape.backward(relative_l2_loss(pred, np.sin(coords[:, :1])))
+    finally:
+        Tensor.__init__ = init
+    assert len(built) > 100
+    changed = [i for i, (t, before) in enumerate(built) if t.data.tobytes() != before]
+    assert not changed, f"{len(changed)} of {len(built)} tensors changed, the first at build index {changed[0]}"
+
+
+@pytest.mark.parametrize("config, training", [
+    (ModelConfig(), False),
+    (ModelConfig(layers=8), False),
+    (ModelConfig(dropout=0.3), True),
+], ids=["default", "layers8", "dropout-training"])
+def test_backward_writes_into_no_kept_array(config, training):
+    _assert_kept_arrays_intact(config, training)
